@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"coplot/internal/experiments"
@@ -24,30 +25,39 @@ import (
 )
 
 func main() {
-	procs := flag.Int("procs", 128, "number of processors in the machine")
-	schedName := flag.String("sched", "easy", "scheduler: nqs, easy or gang")
-	allocName := flag.String("alloc", "unlimited", "allocator: pow2, limited or unlimited")
-	downtime := flag.Float64("downtime-factor", 0, "gap threshold as multiple of the p99 gap (0 = default)")
-	topUser := flag.Float64("top-user", 0, "warn when one user exceeds this job fraction (0 = default)")
-	homogeneity := flag.Int("homogeneity", 0, "split the log into N periods and run the section-6 Co-plot audit (0 = off)")
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "swfcheck: no input files")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the CLI and returns its exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("swfcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	procs := fs.Int("procs", 128, "number of processors in the machine")
+	schedName := fs.String("sched", "easy", "scheduler: nqs, easy or gang")
+	allocName := fs.String("alloc", "unlimited", "allocator: pow2, limited or unlimited")
+	downtime := fs.Float64("downtime-factor", 0, "gap threshold as multiple of the p99 gap (0 = default)")
+	topUser := fs.Float64("top-user", 0, "warn when one user exceeds this job fraction (0 = default)")
+	homogeneity := fs.Int("homogeneity", 0, "split the log into N periods and run the section-6 Co-plot audit (0 = off)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() == 0 {
+		fmt.Fprintln(stderr, "swfcheck: no input files")
+		return 2
 	}
 
 	m, err := service.ParseMachine("cli", *procs, *schedName, *allocName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "swfcheck:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "swfcheck:", err)
+		return 2
 	}
 	opts := validate.Options{DowntimeFactor: *downtime, TopUserWarn: *topUser}
 
 	exit := 0
-	for _, path := range flag.Args() {
-		errs, err := checkFile(path, m, opts, *homogeneity)
+	for _, path := range fs.Args() {
+		errs, err := checkFile(stdout, path, m, opts, *homogeneity)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "swfcheck: %s: %v\n", path, err)
+			fmt.Fprintf(stderr, "swfcheck: %s: %v\n", path, err)
 			exit = 2
 			continue
 		}
@@ -55,10 +65,10 @@ func main() {
 			exit = 1
 		}
 	}
-	os.Exit(exit)
+	return exit
 }
 
-func checkFile(path string, m machine.Machine, opts validate.Options, homogeneity int) (int, error) {
+func checkFile(w io.Writer, path string, m machine.Machine, opts validate.Options, homogeneity int) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
@@ -72,14 +82,14 @@ func checkFile(path string, m machine.Machine, opts validate.Options, homogeneit
 	// /v1/validate endpoint byte-identical (and sorts the capped-code
 	// notes, which the old inline loop printed in map order).
 	text, errs := service.ValidateReport(path, log, m, opts)
-	fmt.Print(text)
+	fmt.Fprint(w, text)
 	if homogeneity > 1 {
 		env := experiments.NewEnv(experiments.Config{})
 		res, err := experiments.Homogeneity(context.Background(), env, log, m, homogeneity)
 		if err != nil {
 			return errs, err
 		}
-		fmt.Print(res.Text)
+		fmt.Fprint(w, res.Text)
 	}
 	return errs, nil
 }

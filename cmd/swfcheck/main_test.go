@@ -1,8 +1,10 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"coplot/internal/machine"
@@ -20,7 +22,7 @@ func TestCheckFile(t *testing.T) {
 	}
 	m := machine.Machine{Name: "t", Procs: 128,
 		Scheduler: machine.SchedulerEASY, Allocator: machine.AllocatorUnlimited}
-	errs, err := checkFile(path, m, validate.Options{}, 0)
+	errs, err := checkFile(io.Discard, path, m, validate.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +34,21 @@ func TestCheckFile(t *testing.T) {
 func TestCheckFileMissing(t *testing.T) {
 	m := machine.Machine{Name: "t", Procs: 128,
 		Scheduler: machine.SchedulerEASY, Allocator: machine.AllocatorUnlimited}
-	if _, err := checkFile(filepath.Join(t.TempDir(), "none.swf"), m, validate.Options{}, 0); err == nil {
+	if _, err := checkFile(io.Discard, filepath.Join(t.TempDir(), "none.swf"), m, validate.Options{}, 0); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestNonPositiveProcsFails runs the command with -procs 0: it must
+// exit 2 with an error message before reading any log, not panic.
+func TestNonPositiveProcsFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.swf")
+	if err := os.WriteFile(path, []byte("1 0 0 10 4 8 -1 4 20 -1 1 1 1 1 1 -1 -1 -1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr strings.Builder
+	code := run([]string{"-procs", "0", path}, &stdout, &stderr)
+	if code != 2 || !strings.Contains(stderr.String(), "swfcheck: ") || stdout.Len() != 0 {
+		t.Fatalf("exit %d, stderr %q, %d stdout bytes", code, stderr.String(), stdout.Len())
 	}
 }

@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -33,49 +34,65 @@ import (
 )
 
 func main() {
-	model := flag.String("model", "", "synthetic model to run")
-	site := flag.String("site", "", "calibrated production-site generator to run")
-	clone := flag.String("clone", "", "SWF log to measure and clone")
-	spec := flag.String("spec", "", "spec-table file of calibrated observations to generate from")
-	dumpSpecs := flag.Bool("dump-specs", false, "print the built-in calibrations as a spec table and exit")
-	procs := flag.Int("procs", 128, "machine size for -model")
-	n := flag.Int("n", 10000, "number of jobs")
-	seed := flag.Uint64("seed", 1, "random seed")
-	out := flag.String("o", "", "output file (default stdout)")
-	simulate := flag.Bool("simulate", false, "replay the stream through the machine's scheduler to obtain wait times")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the CLI and returns its exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	model := fs.String("model", "", "synthetic model to run")
+	site := fs.String("site", "", "calibrated production-site generator to run")
+	clone := fs.String("clone", "", "SWF log to measure and clone")
+	spec := fs.String("spec", "", "spec-table file of calibrated observations to generate from")
+	dumpSpecs := fs.Bool("dump-specs", false, "print the built-in calibrations as a spec table and exit")
+	procs := fs.Int("procs", 128, "machine size for -model")
+	n := fs.Int("n", 10000, "number of jobs")
+	seed := fs.Uint64("seed", 1, "random seed")
+	out := fs.String("o", "", "output file (default stdout)")
+	simulate := fs.Bool("simulate", false, "replay the stream through the machine's scheduler to obtain wait times")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *dumpSpecs {
-		fmt.Print(sites.FormatSpecs(append(sites.Table1Specs(*n), sites.Table2Specs(*n)...)))
-		return
+		fmt.Fprint(stdout, sites.FormatSpecs(append(sites.Table1Specs(*n), sites.Table2Specs(*n)...)))
+		return 0
 	}
 	log, m, err := generate(*model, *site, *clone, *spec, *procs, *n, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "wgen:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "wgen:", err)
+		return 1
 	}
 	if *simulate {
 		log, err = replay(log, m)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "wgen:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "wgen:", err)
+			return 1
 		}
 	}
 
-	w := os.Stdout
+	w := stdout
+	var f *os.File
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wgen:", err)
-			os.Exit(1)
+		if f, err = os.Create(*out); err != nil {
+			fmt.Fprintln(stderr, "wgen:", err)
+			return 1
 		}
-		defer f.Close()
+		defer f.Close() // error paths only; closing twice is harmless
 		w = f
 	}
 	if err := swf.Write(w, log); err != nil {
-		fmt.Fprintln(os.Stderr, "wgen:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "wgen:", err)
+		return 1
 	}
+	if f != nil {
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(stderr, "wgen:", err)
+			return 1
+		}
+	}
+	return 0
 }
 
 func generate(model, site, clone, spec string, procs, n int, seed uint64) (*swf.Log, machine.Machine, error) {

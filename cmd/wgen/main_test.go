@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"coplot/internal/machine"
@@ -153,5 +154,17 @@ func TestGenerateFromSpecFile(t *testing.T) {
 	// -spec is exclusive with -model and -clone.
 	if _, _, err := generate("lublin", "", "", path, 64, 100, 1); err == nil {
 		t.Fatal("model+spec accepted")
+	}
+}
+
+// TestNonPositiveProcsFails runs the command with -procs 0 and -4: it
+// must exit 1 with an error message, not panic inside a model.
+func TestNonPositiveProcsFails(t *testing.T) {
+	for _, procs := range []string{"0", "-4"} {
+		var stdout, stderr strings.Builder
+		code := run([]string{"-model", "lublin", "-procs", procs, "-n", "10"}, &stdout, &stderr)
+		if code != 1 || !strings.Contains(stderr.String(), "wgen: ") || stdout.Len() != 0 {
+			t.Errorf("-procs %s: exit %d, stderr %q, %d stdout bytes", procs, code, stderr.String(), stdout.Len())
+		}
 	}
 }

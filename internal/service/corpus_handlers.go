@@ -28,54 +28,49 @@ import (
 	"coplot/internal/mds"
 	"coplot/internal/swf"
 	"coplot/internal/workload"
+	"coplot/pkg/coplotclient"
 )
 
-// writeJSON answers with v as one JSON document.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON answers with v as one JSON document. A marshal failure
+// writes nothing and is returned for the caller's error envelope.
+func writeJSON(w http.ResponseWriter, status int, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, "corpus", err.Error())
-		return
+		return err
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(append(data, '\n'))
+	return nil
 }
 
 // corpusAdmit maps POST /v1/corpus: the body is one SWF log, analyzed
-// under the machine options and admitted as an upload entry. Options:
-// name (required), procs, sched, alloc. Re-admitting the same log
-// under the same name and machine is idempotent — the entry's ID is a
-// content hash of exactly those inputs.
-func (s *Service) corpusAdmit(w http.ResponseWriter, r *http.Request) {
+// under the machine options and admitted as an upload entry.
+// Re-admitting the same log under the same name and machine is
+// idempotent — the entry's ID is a content hash of exactly those
+// inputs.
+func (s *Service) corpusAdmit(w http.ResponseWriter, r *http.Request, o *coplotclient.CorpusAdmitOptions) error {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody()))
 	if err != nil {
-		s.fail(w, "corpus", classifyBody(err))
-		return
+		return classifyBody(err)
 	}
-	o := newRequestOptions(r)
-	name := o.RequiredStr("name")
-	m, _ := o.Machine()
-	if err := o.Err(); err != nil {
-		s.fail(w, "corpus", err)
-		return
+	m, err := cliMachine(o.Machine)
+	if err != nil {
+		return err
 	}
 	log, err := swf.Parse(bytes.NewReader(body))
 	if err != nil {
-		s.fail(w, "corpus", badRequest(err))
-		return
+		return badRequest(err)
 	}
-	v, err := workload.Compute(name, log, m)
+	v, err := workload.Compute(o.Name, log, m)
 	if err != nil {
-		s.fail(w, "corpus", badRequest(err))
-		return
+		return badRequest(err)
 	}
-	e := corpus.FromVariables(corpus.EntryID(name, m, body), corpus.SourceUpload, len(log.Jobs), v)
+	e := corpus.FromVariables(corpus.EntryID(o.Name, m, body), corpus.SourceUpload, len(log.Jobs), v)
 	if err := s.corpus.Admit(e); err != nil {
-		s.fail(w, "corpus", badRequest(err))
-		return
+		return badRequest(err)
 	}
-	writeJSON(w, http.StatusCreated, e.Wire(true))
+	return writeJSON(w, http.StatusCreated, e.Wire(true))
 }
 
 // corpusListBody is the GET /v1/corpus response payload.
@@ -88,26 +83,18 @@ type corpusListBody struct {
 
 // corpusList maps GET /v1/corpus: the merged corpus index, canonical
 // order (name, then ID).
-func (s *Service) corpusList(w http.ResponseWriter, r *http.Request) {
-	if err := newRequestOptions(r).Err(); err != nil {
-		s.fail(w, "corpus", err)
-		return
-	}
+func (s *Service) corpusList(w http.ResponseWriter, r *http.Request, _ *noOptions) error {
 	entries := s.mergedEntries(r.Context())
 	out := corpusListBody{Entries: make([]corpus.WireEntry, 0, len(entries)), Total: len(entries)}
 	for _, e := range entries {
 		out.Entries = append(out.Entries, e.Wire(true))
 	}
-	writeJSON(w, http.StatusOK, out)
+	return writeJSON(w, http.StatusOK, out)
 }
 
 // corpusGet maps GET /v1/corpus/{id}: one entry, from the local index
 // or any peer's.
-func (s *Service) corpusGet(w http.ResponseWriter, r *http.Request) {
-	if err := newRequestOptions(r).Err(); err != nil {
-		s.fail(w, "corpus", err)
-		return
-	}
+func (s *Service) corpusGet(w http.ResponseWriter, r *http.Request, _ *noOptions) error {
 	id := r.PathValue("id")
 	e, ok := s.corpus.Get(id)
 	if !ok {
@@ -119,21 +106,16 @@ func (s *Service) corpusGet(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !ok {
-		s.fail(w, "corpus", notFound(fmt.Sprintf("corpus entry %s not found", id)))
-		return
+		return notFound(fmt.Sprintf("corpus entry %s not found", id))
 	}
-	writeJSON(w, http.StatusOK, e.Wire(true))
+	return writeJSON(w, http.StatusOK, e.Wire(true))
 }
 
 // corpusDelete maps DELETE /v1/corpus/{id}: removes the entry from
 // this replica and broadcasts the removal to every peer. Deleting a
 // seed entry is allowed but transient — seeds are regenerated at the
 // next restart (start with -corpus-jobs=-1 to serve without them).
-func (s *Service) corpusDelete(w http.ResponseWriter, r *http.Request) {
-	if err := newRequestOptions(r).Err(); err != nil {
-		s.fail(w, "corpus", err)
-		return
-	}
+func (s *Service) corpusDelete(w http.ResponseWriter, r *http.Request, _ *noOptions) error {
 	id := r.PathValue("id")
 	deleted := s.corpus.Delete(id)
 	for _, peer := range s.peerURL {
@@ -142,10 +124,9 @@ func (s *Service) corpusDelete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !deleted {
-		s.fail(w, "corpus", notFound(fmt.Sprintf("corpus entry %s not found", id)))
-		return
+		return notFound(fmt.Sprintf("corpus entry %s not found", id))
 	}
-	writeJSON(w, http.StatusOK, struct {
+	return writeJSON(w, http.StatusOK, struct {
 		ID      string `json:"id"`
 		Deleted bool   `json:"deleted"`
 	}{id, true})
@@ -153,45 +134,36 @@ func (s *Service) corpusDelete(w http.ResponseWriter, r *http.Request) {
 
 // match maps POST /v1/match: the body is one SWF trace, analyzed under
 // the machine options and ranked against the merged corpus in a joint
-// Co-plot embedding. Options: name (the query label, default "query"),
-// seed (default 7, the CLI default), landmarks (default
-// Config.Landmarks), k (truncate the neighbor list, 0 = all), procs,
-// sched, alloc. The cache key covers the resolved options, the sorted
-// corpus entry IDs and the body, so a match is recomputed exactly when
-// the corpus it ran against has changed — and two replicas holding the
-// same corpus share one cached answer.
-func (s *Service) match(r *http.Request, body []byte) (string, func(context.Context) (*response, error), error) {
-	o := newRequestOptions(r)
-	name := o.Str("name", "query")
-	seed := o.Uint("seed", 7)
-	landmarks := o.Int("landmarks", s.cfg.Landmarks)
-	k := o.Int("k", 0)
-	m, _ := o.Machine()
-	if err := o.Err(); err != nil {
-		return "", nil, err
+// Co-plot embedding. The cache key covers the resolved options, the
+// sorted corpus entry IDs and the body, so a match is recomputed
+// exactly when the corpus it ran against has changed — and two
+// replicas holding the same corpus share one cached answer.
+func (s *Service) match(r *http.Request, body []byte, o *coplotclient.MatchOptions) ([][]byte, func(context.Context) (*response, error), error) {
+	m, err := cliMachine(o.Machine)
+	if err != nil {
+		return nil, nil, err
 	}
 	entries := s.mergedEntries(r.Context())
 	if len(entries) < 2 {
-		return "", nil, badRequest(fmt.Errorf("corpus has %d entries; need at least 2 to match against", len(entries)))
+		return nil, nil, badRequest(fmt.Errorf("corpus has %d entries; need at least 2 to match against", len(entries)))
 	}
 	blobs := make([][]byte, 0, len(entries)+1)
 	for _, e := range entries {
 		blobs = append(blobs, []byte(e.ID))
 	}
 	blobs = append(blobs, body)
-	key := cacheKey("match", o.Canonical(), blobs...)
 	run := func(ctx context.Context) (*response, error) {
 		log, err := swf.Parse(bytes.NewReader(body))
 		if err != nil {
 			return nil, badRequest(err)
 		}
-		query, err := workload.Compute(name, log, m)
+		query, err := workload.Compute(o.Name, log, m)
 		if err != nil {
 			return nil, badRequest(err)
 		}
 		start := time.Now()
 		res, err := corpus.Match(ctx, entries, query, corpus.MatchOptions{
-			Seed: seed, Landmarks: landmarks, Par: s.budget, K: k,
+			Seed: o.Seed, Landmarks: o.Landmarks, Par: s.budget, K: o.K,
 		})
 		if err != nil {
 			// Degenerate joint tables are the caller's data, not a
@@ -209,7 +181,7 @@ func (s *Service) match(r *http.Request, body []byte) (string, func(context.Cont
 		}
 		return &response{contentType: "application/json", body: append(data, '\n')}, nil
 	}
-	return key, run, nil
+	return blobs, run, nil
 }
 
 // mergedEntries is the cluster-wide corpus view: the local index
@@ -287,13 +259,9 @@ func (s *Service) corpusIndex(w http.ResponseWriter, r *http.Request) {
 	for _, e := range entries {
 		wires = append(wires, e.Wire(false))
 	}
-	data, err := json.Marshal(wires)
-	if err != nil {
+	if err := writeJSON(w, http.StatusOK, wires); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(data, '\n'))
 }
 
 // corpusPeerDelete maps DELETE /internal/v1/corpus/{id}: drop id from

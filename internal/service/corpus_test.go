@@ -61,14 +61,14 @@ func TestCorpusCRUDThroughClient(t *testing.T) {
 
 	// Upload, refetch, re-upload (idempotent), delete.
 	body := swfBody(t, 3, 300)
-	e, meta, err := c.CorpusAdmit(ctx, "mine", body, coplotclient.MachineOptions{})
+	e, meta, err := c.CorpusAdmit(ctx, body, coplotclient.CorpusAdmitOptions{Name: "mine"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meta.Status != http.StatusCreated || e.Source != "upload" || e.Name != "mine" {
 		t.Fatalf("admit = %d %+v", meta.Status, e)
 	}
-	again, _, err := c.CorpusAdmit(ctx, "mine", body, coplotclient.MachineOptions{})
+	again, _, err := c.CorpusAdmit(ctx, body, coplotclient.CorpusAdmitOptions{Name: "mine"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestMatchAcrossReplicas(t *testing.T) {
 	ctx := context.Background()
 
 	up := swfBody(t, 21, 300)
-	e, _, err := a.CorpusAdmit(ctx, "shared", up, coplotclient.MachineOptions{})
+	e, _, err := a.CorpusAdmit(ctx, up, coplotclient.CorpusAdmitOptions{Name: "shared"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestCorpusSurvivesRestart(t *testing.T) {
 	ts1 := httptest.NewServer(svc1)
 	c1 := coplotclient.New(ts1.URL, nil)
 	ctx := context.Background()
-	e, _, err := c1.CorpusAdmit(ctx, "durable", swfBody(t, 8, 300), coplotclient.MachineOptions{})
+	e, _, err := c1.CorpusAdmit(ctx, swfBody(t, 8, 300), coplotclient.CorpusAdmitOptions{Name: "durable"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,12 +146,12 @@ func (s *Service) fail(w http.ResponseWriter, endpoint string, err error) {
 	if api == CodeBadRequest && errors.As(err, &deg) {
 		api = CodeDegenerateInput
 	}
+	if status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", "1")
+	}
 	writeError(w, status, api, endpoint, msg)
 }
 
-// overloaded answers the admission-control rejection: 429 with a
-// Retry-After hint and the overloaded code.
-func overloaded(w http.ResponseWriter, endpoint string) {
-	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusTooManyRequests, CodeOverloaded, endpoint, "server at capacity")
-}
+// errOverloaded is the admission-control rejection: 429 with the
+// overloaded code, answered with a Retry-After hint.
+var errOverloaded = &statusError{code: http.StatusTooManyRequests, api: CodeOverloaded, err: errors.New("server at capacity")}

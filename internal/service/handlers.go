@@ -1,10 +1,9 @@
 package service
 
-// The endpoint handlers. Each parses its options through the shared
-// RequestOptions decoder into a canonical form, derives the
-// content-hash cache key from exactly that form, and returns a compute
-// closure that renders the exact bytes the matching CLI writes to
-// stdout — through the shared helpers in input.go and render.go, so
+// The cached endpoint handlers. Each takes its decoded options (see
+// api.go), names the input blobs its cache key covers, and returns a
+// compute closure that renders the exact bytes the matching CLI writes
+// to stdout — through the shared helpers in input.go and render.go, so
 // the identity holds by construction.
 
 import (
@@ -21,11 +20,13 @@ import (
 
 	"coplot"
 	"coplot/internal/core"
+	"coplot/internal/machine"
 	"coplot/internal/mds"
 	"coplot/internal/rng"
 	"coplot/internal/swf"
 	"coplot/internal/validate"
 	"coplot/internal/workload"
+	"coplot/pkg/coplotclient"
 )
 
 // parseLogBody parses a request body as one SWF log.
@@ -45,24 +46,8 @@ type swfPart struct {
 
 // analyze maps POST /v1/analyze: the Co-plot pipeline over a CSV data
 // matrix (any body) or a set of SWF logs (multipart/form-data, one
-// part per log, at least 3). Options: prune, seed (default 7, the CLI
-// default), vars, procs, landmarks (default Config.Landmarks). The
-// body is the exact cmd/coplot report.
-func (s *Service) analyze(r *http.Request, body []byte) (string, func(context.Context) (*response, error), error) {
-	o := newRequestOptions(r)
-	prune := o.Float("prune", 0)
-	seed := o.Uint("seed", 7)
-	procs := o.Int("procs", 128)
-	// The resolved landmark count is part of the canonical options —
-	// the server default participates in the key, so two replicas with
-	// different -landmarks defaults never alias each other's entries.
-	landmarks := o.Int("landmarks", s.cfg.Landmarks)
-	vars := o.Str("vars", "")
-	if err := o.Err(); err != nil {
-		return "", nil, err
-	}
-	canon := o.Canonical()
-
+// part per log, at least 3). The body is the exact cmd/coplot report.
+func (s *Service) analyze(r *http.Request, body []byte, o *coplotclient.AnalyzeOptions) ([][]byte, func(context.Context) (*response, error), error) {
 	mt, params, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	if strings.HasPrefix(mt, "multipart/") {
 		// SWF mode. The parts are decoded before keying, so the cache
@@ -70,15 +55,14 @@ func (s *Service) analyze(r *http.Request, body []byte) (string, func(context.Co
 		// per-request multipart boundary.
 		parts, err := parseMultipartLogs(body, params["boundary"])
 		if err != nil {
-			return "", nil, err
+			return nil, nil, err
 		}
 		blobs := make([][]byte, 0, 2*len(parts))
 		for _, p := range parts {
 			blobs = append(blobs, []byte(p.name), p.data)
 		}
-		key := cacheKey("analyze", canon, blobs...)
 		run := func(ctx context.Context) (*response, error) {
-			m, err := ParseMachine("cli", procs, "easy", "unlimited")
+			m, err := ParseMachine("cli", o.Procs, "easy", "unlimited")
 			if err != nil {
 				return nil, badRequest(err)
 			}
@@ -98,21 +82,20 @@ func (s *Service) analyze(r *http.Request, body []byte) (string, func(context.Co
 			if err != nil {
 				return nil, badRequest(err)
 			}
-			return s.analyzeDataset(ctx, ds, vars, prune, seed, landmarks)
+			return s.analyzeDataset(ctx, ds, o)
 		}
-		return key, run, nil
+		return blobs, run, nil
 	}
 
 	// CSV mode: the body is the data matrix.
-	key := cacheKey("analyze", canon, body)
 	run := func(ctx context.Context) (*response, error) {
 		ds, err := ParseCSVDataset("body", bytes.NewReader(body))
 		if err != nil {
 			return nil, badRequest(err)
 		}
-		return s.analyzeDataset(ctx, ds, vars, prune, seed, landmarks)
+		return s.analyzeDataset(ctx, ds, o)
 	}
-	return key, run, nil
+	return [][]byte{body}, run, nil
 }
 
 // parseMultipartLogs decodes an analyze request's multipart body into
@@ -150,17 +133,17 @@ func parseMultipartLogs(body []byte, boundary string) ([]swfPart, error) {
 // analyzeDataset runs the Co-plot pipeline the way cmd/coplot does —
 // same defaults, same report — drawing kernel workers from the
 // service-wide budget.
-func (s *Service) analyzeDataset(ctx context.Context, ds *core.Dataset, vars string, prune float64, seed uint64, landmarks int) (*response, error) {
-	if vars != "" {
+func (s *Service) analyzeDataset(ctx context.Context, ds *core.Dataset, o *coplotclient.AnalyzeOptions) (*response, error) {
+	if o.Vars != "" {
 		var err error
-		ds, err = ds.Select(strings.Split(vars, ","))
+		ds, err = ds.Select(strings.Split(o.Vars, ","))
 		if err != nil {
 			return nil, badRequest(err)
 		}
 	}
 	res, err := core.AnalyzeContext(ctx, ds, core.Options{
-		MDS:            mds.Options{Seed: seed, Par: s.budget, Landmarks: landmarks},
-		PruneThreshold: prune,
+		MDS:            mds.Options{Seed: o.Seed, Par: s.budget, Landmarks: o.Landmarks},
+		PruneThreshold: o.Prune,
 	})
 	if err != nil {
 		// Degenerate input is the caller's data, not a server fault.
@@ -174,111 +157,82 @@ func (s *Service) analyzeDataset(ctx context.Context, ds *core.Dataset, vars str
 }
 
 // variables maps POST /v1/variables: the Table-1 variables of the SWF
-// log in the body, rendered exactly as cmd/wstat prints them. Options:
-// name (the report label, default "log"), procs, sched, alloc.
-func (s *Service) variables(r *http.Request, body []byte) (string, func(context.Context) (*response, error), error) {
-	o := newRequestOptions(r)
-	name := o.Str("name", "log")
-	m, _ := o.Machine()
-	if err := o.Err(); err != nil {
-		return "", nil, err
+// log in the body, rendered exactly as cmd/wstat prints them.
+func (s *Service) variables(r *http.Request, body []byte, o *coplotclient.VariablesOptions) ([][]byte, func(context.Context) (*response, error), error) {
+	m, err := cliMachine(o.Machine)
+	if err != nil {
+		return nil, nil, err
 	}
-	key := cacheKey("variables", o.Canonical(), body)
 	run := func(ctx context.Context) (*response, error) {
 		log, err := parseLogBody(body)
 		if err != nil {
 			return nil, err
 		}
-		text, err := VariablesReport(name, log, m)
+		text, err := VariablesReport(o.Name, log, m)
 		if err != nil {
 			return nil, badRequest(err)
 		}
 		return textResponse(text), nil
 	}
-	return key, run, nil
+	return [][]byte{body}, run, nil
 }
 
 // hurst maps POST /v1/hurst: the three Hurst estimates per Table-3
 // series of the SWF log in the body, rendered exactly as cmd/hurst
-// prints them. Options: name (default "log"). The estimator fan-out
-// draws from the service-wide worker budget.
-func (s *Service) hurst(r *http.Request, body []byte) (string, func(context.Context) (*response, error), error) {
-	o := newRequestOptions(r)
-	name := o.Str("name", "log")
-	if err := o.Err(); err != nil {
-		return "", nil, err
-	}
-	key := cacheKey("hurst", o.Canonical(), body)
+// prints them. The estimator fan-out draws from the service-wide
+// worker budget.
+func (s *Service) hurst(r *http.Request, body []byte, o *coplotclient.HurstOptions) ([][]byte, func(context.Context) (*response, error), error) {
 	run := func(ctx context.Context) (*response, error) {
 		log, err := parseLogBody(body)
 		if err != nil {
 			return nil, err
 		}
-		text, err := HurstReport(ctx, name, log, s.budget, nil)
+		text, err := HurstReport(ctx, o.Name, log, s.budget, nil)
 		if err != nil {
 			return nil, err
 		}
 		return textResponse(text), nil
 	}
-	return key, run, nil
+	return [][]byte{body}, run, nil
 }
 
 // validate maps POST /v1/validate: the section-1 validity audit of the
 // SWF log in the body, rendered exactly as cmd/swfcheck prints it; the
 // X-Coplot-Validate-Errors header carries the error-severity count.
-// Options: name, procs, sched, alloc, downtime-factor, top-user.
-func (s *Service) validate(r *http.Request, body []byte) (string, func(context.Context) (*response, error), error) {
-	o := newRequestOptions(r)
-	name := o.Str("name", "log")
-	m, _ := o.Machine()
-	downtime := o.Float("downtime-factor", 0)
-	topUser := o.Float("top-user", 0)
-	if err := o.Err(); err != nil {
-		return "", nil, err
+func (s *Service) validate(r *http.Request, body []byte, o *coplotclient.ValidateOptions) ([][]byte, func(context.Context) (*response, error), error) {
+	m, err := cliMachine(o.Machine)
+	if err != nil {
+		return nil, nil, err
 	}
-	key := cacheKey("validate", o.Canonical(), body)
 	run := func(ctx context.Context) (*response, error) {
 		log, err := parseLogBody(body)
 		if err != nil {
 			return nil, err
 		}
-		text, errs := ValidateReport(name, log, m, validate.Options{
-			DowntimeFactor: downtime, TopUserWarn: topUser,
+		text, errs := ValidateReport(o.Name, log, m, validate.Options{
+			DowntimeFactor: o.DowntimeFactor, TopUserWarn: o.TopUser,
 		})
 		resp := textResponse(text)
 		resp.extra = map[string]string{"X-Coplot-Validate-Errors": strconv.Itoa(errs)}
 		return resp, nil
 	}
-	return key, run, nil
+	return [][]byte{body}, run, nil
 }
 
 // scaleLoad maps POST /v1/scale-load: the section-8 load-modification
 // operators applied to the SWF log in the body, answered as the scaled
-// log in SWF. Options: method (required; a coplot.LoadMethod wire
-// name), factor (required), procs.
-func (s *Service) scaleLoad(r *http.Request, body []byte) (string, func(context.Context) (*response, error), error) {
-	o := newRequestOptions(r)
-	methodName := o.RequiredStr("method")
-	factor := o.RequiredFloat("factor")
-	maxProcs := o.Int("procs", 128)
-	var method coplot.LoadMethod
-	if methodName != "" {
-		var err error
-		method, err = coplot.ParseLoadMethod(methodName)
-		if err != nil {
-			o.fail(badRequest(err))
-		}
+// log in SWF. The method is a coplot.LoadMethod wire name.
+func (s *Service) scaleLoad(r *http.Request, body []byte, o *coplotclient.ScaleLoadOptions) ([][]byte, func(context.Context) (*response, error), error) {
+	method, err := coplot.ParseLoadMethod(o.Method)
+	if err != nil {
+		return nil, nil, badRequest(err)
 	}
-	if err := o.Err(); err != nil {
-		return "", nil, err
-	}
-	key := cacheKey("scale-load", o.Canonical(), body)
 	run := func(ctx context.Context) (*response, error) {
 		log, err := parseLogBody(body)
 		if err != nil {
 			return nil, err
 		}
-		out, err := coplot.ScaleLoadWith(log, method, factor, maxProcs)
+		out, err := coplot.ScaleLoadWith(log, method, o.Factor, o.Procs)
 		if err != nil {
 			return nil, badRequest(err)
 		}
@@ -288,34 +242,34 @@ func (s *Service) scaleLoad(r *http.Request, body []byte) (string, func(context.
 		}
 		return textResponse(buf.String()), nil
 	}
-	return key, run, nil
+	return [][]byte{body}, run, nil
 }
 
 // generate maps POST /v1/generate: a synthetic workload from one of
-// the named models, answered in SWF exactly as cmd/wgen writes it.
-// Options: model (required; ModelByName names), procs, n, seed —
-// matching the wgen flags and defaults.
-func (s *Service) generate(r *http.Request, body []byte) (string, func(context.Context) (*response, error), error) {
-	o := newRequestOptions(r)
-	model := o.RequiredStr("model")
-	procs := o.Int("procs", 128)
-	n := o.Int("n", 10000)
-	seed := o.Uint("seed", 1)
-	if err := o.Err(); err != nil {
-		return "", nil, err
-	}
-	key := cacheKey("generate", o.Canonical())
+// the named models (ModelByName), answered in SWF exactly as cmd/wgen
+// writes it — the options match the wgen flags and defaults.
+func (s *Service) generate(r *http.Request, body []byte, o *coplotclient.GenerateOptions) ([][]byte, func(context.Context) (*response, error), error) {
 	run := func(ctx context.Context) (*response, error) {
-		gen, err := ModelByName(model, procs)
+		gen, err := ModelByName(o.Model, o.Procs)
 		if err != nil {
 			return nil, badRequest(err)
 		}
-		log := gen.Generate(rng.New(seed), n)
+		log := gen.Generate(rng.New(o.Seed), o.N)
 		var buf bytes.Buffer
 		if err := swf.Write(&buf, log); err != nil {
 			return nil, err
 		}
 		return textResponse(buf.String()), nil
 	}
-	return key, run, nil
+	return nil, run, nil
+}
+
+// cliMachine resolves the machine options the way the CLIs' flags do,
+// as a machine named "cli" so reports match the CLIs byte for byte.
+func cliMachine(o coplotclient.MachineOptions) (machine.Machine, error) {
+	m, err := ParseMachine("cli", o.Procs, o.Sched, o.Alloc)
+	if err != nil {
+		return machine.Machine{}, badRequest(err)
+	}
+	return m, nil
 }

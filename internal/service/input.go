@@ -79,7 +79,8 @@ func DatasetFromVariables(rows []workload.Variables) (*core.Dataset, error) {
 
 // ParseMachine builds a machine description from the wire names every
 // entry point shares: scheduler "nqs", "easy" or "gang"; allocator
-// "pow2", "limited" or "unlimited".
+// "pow2", "limited" or "unlimited". The machine must pass
+// machine.Validate (at least one processor).
 func ParseMachine(name string, procs int, sched, alloc string) (machine.Machine, error) {
 	m := machine.Machine{Name: name, Procs: procs}
 	switch sched {
@@ -102,14 +103,21 @@ func ParseMachine(name string, procs int, sched, alloc string) (machine.Machine,
 	default:
 		return machine.Machine{}, fmt.Errorf("unknown allocator %q", alloc)
 	}
+	if err := m.Validate(); err != nil {
+		return machine.Machine{}, err
+	}
 	return m, nil
 }
 
 // ModelByName resolves a synthetic model's wire name — feitelson96,
 // feitelson97, downey, jann, lublin, session, optionally prefixed
 // "ss-" for the section-9 self-similarity injection — for a machine of
-// procs processors. cmd/wgen and the /v1/generate handler share it.
+// procs processors (at least one). cmd/wgen and the /v1/generate
+// handler share it.
 func ModelByName(name string, procs int) (models.Model, error) {
+	if procs < 1 {
+		return nil, fmt.Errorf("model %q: non-positive processor count %d", name, procs)
+	}
 	base := strings.ToLower(name)
 	selfSim := strings.HasPrefix(base, "ss-")
 	base = strings.TrimPrefix(base, "ss-")

@@ -197,24 +197,9 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.sem = make(chan struct{}, inflight)
 
-	s.mux.HandleFunc("GET /healthz", s.healthz)
-	s.mux.HandleFunc("GET /metrics", s.metricsHandler)
-	s.mux.Handle("POST /v1/analyze", s.endpoint("analyze", s.analyze))
-	s.mux.Handle("POST /v1/variables", s.endpoint("variables", s.variables))
-	s.mux.Handle("POST /v1/hurst", s.endpoint("hurst", s.hurst))
-	s.mux.Handle("POST /v1/validate", s.endpoint("validate", s.validate))
-	s.mux.Handle("POST /v1/scale-load", s.endpoint("scale-load", s.scaleLoad))
-	s.mux.Handle("POST /v1/generate", s.endpoint("generate", s.generate))
-
 	// Streaming endpoints: stateful, so they live outside the
 	// cache/single-flight machinery (see streams.go).
 	s.streams = stream.NewSet(cfg.MaxStreams)
-	s.mux.HandleFunc("POST /v1/stream/{id}/append", s.streamAppend)
-	s.mux.HandleFunc("GET /v1/stream/{id}/watch", s.streamWatch)
-	s.mux.HandleFunc("GET /v1/stream/{id}", s.streamGet)
-	s.mux.HandleFunc("DELETE /v1/stream/{id}", s.streamDelete)
-	s.mux.HandleFunc("GET /v1/streams", s.streamList)
-
 	// Corpus endpoints: the index recovers from the LOCAL tier (what
 	// is resident here), while uploads write through the ring so they
 	// reach their owner replica. Seeds go local-only — every replica
@@ -226,11 +211,11 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 	}
-	s.mux.HandleFunc("POST /v1/corpus", s.corpusAdmit)
-	s.mux.HandleFunc("GET /v1/corpus", s.corpusList)
-	s.mux.HandleFunc("GET /v1/corpus/{id}", s.corpusGet)
-	s.mux.HandleFunc("DELETE /v1/corpus/{id}", s.corpusDelete)
-	s.mux.Handle("POST /v1/match", s.endpoint("match", s.match))
+	s.mux.HandleFunc("GET /healthz", s.healthz)
+	s.mux.HandleFunc("GET /metrics", s.metricsHandler)
+	for _, rt := range routes {
+		s.mux.Handle(rt.Method+" "+rt.Path, rt.serve.mount(s, rt.Name))
+	}
 	if len(cfg.Peers) > 0 {
 		s.mux.HandleFunc("GET /internal/v1/corpus", s.corpusIndex)
 		s.mux.HandleFunc("DELETE /internal/v1/corpus/{id}", s.corpusPeerDelete)
@@ -363,7 +348,7 @@ func (s *Service) endpoint(name string, h handlerFunc) http.Handler {
 		select {
 		case s.sem <- struct{}{}:
 		default:
-			overloaded(w, name)
+			s.fail(w, name, errOverloaded)
 			return
 		}
 		defer func() {
@@ -489,11 +474,4 @@ func (s *Service) metricsHandler(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(append(data, '\n'))
-}
-
-// cacheKey derives the deterministic response-cache key — the key
-// format lives in the store package (store.Key) so CLI caches and the
-// serving layer address artifacts identically.
-func cacheKey(endpoint string, opts []string, blobs ...[]byte) string {
-	return store.Key(endpoint, opts, blobs...)
 }

@@ -16,51 +16,30 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 
 	"coplot/internal/stream"
+	"coplot/pkg/coplotclient"
 )
 
-// readBody reads the request body under the service's byte cap.
-func readBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, max))
-}
-
-// streamOptionKeys are the create-time options an append may carry.
-// They are resolved to canonical form when the stream is created and
-// pinned in its Config.Tag; later appends may repeat them verbatim or
-// omit them, but never change them.
-var streamOptionKeys = []string{"seed", "procs", "sched", "alloc", "drift-pos", "drift-angle", "landmarks"}
-
-// streamOptions resolves the create-time options of an append request
-// against the service defaults, returning the stream configuration
-// with the canonical (url-encoded) option string pinned in Config.Tag.
-func (s *Service) streamOptions(o *RequestOptions) stream.Config {
-	seed := o.Uint("seed", 7)
-	m, procs := o.Machine()
-	sched := o.Str("sched", "easy")
-	alloc := o.Str("alloc", "unlimited")
-	driftPos := o.Float("drift-pos", s.streamDriftPos())
-	driftAngle := o.Float("drift-angle", s.streamDriftAngle())
-	landmarks := o.Int("landmarks", s.cfg.Landmarks)
-	canon := url.Values{
-		"seed":        {strconv.FormatUint(seed, 10)},
-		"procs":       {strconv.Itoa(procs)},
-		"sched":       {sched},
-		"alloc":       {alloc},
-		"drift-pos":   {fmt.Sprintf("%g", driftPos)},
-		"drift-angle": {fmt.Sprintf("%g", driftAngle)},
-		"landmarks":   {strconv.Itoa(landmarks)},
+// streamConfig resolves an append's decoded options into the stream
+// configuration, pinning the canonical list of every option but Obs
+// (StreamOptions declares it first) in Config.Tag.
+func (s *Service) streamConfig(o *coplotclient.StreamOptions) (stream.Config, error) {
+	m, err := cliMachine(o.Machine)
+	if err != nil {
+		return stream.Config{}, err
 	}
 	return stream.Config{
 		Machine:    m,
-		Seed:       seed,
+		Seed:       o.Seed,
 		Par:        s.budget,
-		DriftPos:   driftPos,
-		DriftAngle: driftAngle,
-		Landmarks:  landmarks,
+		DriftPos:   o.DriftPos,
+		DriftAngle: o.DriftAngle,
+		Landmarks:  o.Landmarks,
 		Sink:       s.sink,
-		Tag:        canon.Encode(),
-	}
+		Tag:        strings.Join(canonical(o)[1:], "&"),
+	}, nil
 }
 
 // streamDriftPos is the service-wide positional drift default.
@@ -79,139 +58,92 @@ func (s *Service) streamDriftAngle() float64 {
 	return stream.DefaultDriftAngle
 }
 
-// checkStreamOptions compares the options present on a follow-up
-// append against the canonical set pinned at creation; any differing
-// key is a conflict (409) — one stream, one configuration.
-func checkStreamOptions(q url.Values, tag string) error {
-	pinned, err := url.ParseQuery(tag)
-	if err != nil {
-		return err
-	}
-	for _, k := range streamOptionKeys {
-		if !q.Has(k) {
-			continue
-		}
-		if got, want := q.Get(k), pinned.Get(k); got != want {
-			return conflict(fmt.Errorf("stream option %s=%s conflicts with the stream's %s=%s", k, got, k, want))
+// checkPinned compares the options a follow-up append carries, as
+// decoded values, against the ones pinned at creation; any that differ
+// is a conflict (409) — one stream, one configuration. Both tags list
+// the same options in declaration order.
+func checkPinned(q url.Values, pinned, got string) error {
+	want := strings.Split(pinned, "&")
+	for i, kv := range strings.Split(got, "&") {
+		if k, _, _ := strings.Cut(kv, "="); q.Has(k) && kv != want[i] {
+			return conflict(fmt.Errorf("stream option %s conflicts with the stream's %s", kv, want[i]))
 		}
 	}
 	return nil
 }
 
-// writeStreamJSON answers with v as JSON.
-func writeStreamJSON(w http.ResponseWriter, endpoint string, code int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, endpoint, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(data, '\n'))
-}
-
 // streamAppend maps POST /v1/stream/{id}/append: the body is an SWF
-// chunk folded into observation `obs` (default "log") of stream {id},
-// created on first use with the request's create-time options. The
-// answer is the stream's new snapshot. Appends are admitted through
-// the service semaphore and bypass the response cache entirely.
-func (s *Service) streamAppend(w http.ResponseWriter, r *http.Request) {
+// chunk folded into observation o.Obs of stream {id}, created on first
+// use with the request's options. The answer is the stream's new
+// snapshot. Appends are admitted through the service semaphore and
+// bypass the response cache entirely.
+func (s *Service) streamAppend(w http.ResponseWriter, r *http.Request, o *coplotclient.StreamOptions) error {
 	select {
 	case s.sem <- struct{}{}:
 	default:
-		overloaded(w, "stream-append")
-		return
+		return errOverloaded
 	}
 	defer func() { <-s.sem }()
 
-	id := r.PathValue("id")
-	q := r.URL.Query()
-	o := newRequestOptions(r)
-	obsName := o.Str("obs", "log")
-	cfg := s.streamOptions(o)
-	if err := o.Err(); err != nil {
-		s.fail(w, "stream-append", err)
-		return
-	}
-	body, err := readBody(w, r, s.maxBody())
+	cfg, err := s.streamConfig(o)
 	if err != nil {
-		s.fail(w, "stream-append", classifyBody(err))
-		return
+		return err
 	}
-
-	st, created, err := s.streams.GetOrCreate(id, cfg)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody()))
+	if err != nil {
+		return classifyBody(err)
+	}
+	st, created, err := s.streams.GetOrCreate(r.PathValue("id"), cfg)
 	if err != nil {
 		if errors.Is(err, stream.ErrTooManyStreams) {
-			err = conflict(err)
-		} else {
-			err = badRequest(err)
+			return conflict(err)
 		}
-		s.fail(w, "stream-append", err)
-		return
+		return badRequest(err)
 	}
 	if !created {
-		if err := checkStreamOptions(q, st.Config().Tag); err != nil {
-			s.fail(w, "stream-append", err)
-			return
+		if err := checkPinned(r.URL.Query(), st.Config().Tag, cfg.Tag); err != nil {
+			return err
 		}
 	}
-
-	snap, err := st.Append(r.Context(), obsName, body)
+	snap, err := st.Append(r.Context(), o.Obs, body)
 	if err != nil {
 		if errors.Is(err, stream.ErrTooManyObservations) || errors.Is(err, stream.ErrTooManyJobs) {
-			err = conflict(err)
-		} else {
-			err = badRequest(err)
+			return conflict(err)
 		}
-		s.fail(w, "stream-append", err)
-		return
+		return badRequest(err)
 	}
 	w.Header().Set("X-Coplot-Stream-Version", strconv.FormatUint(snap.Version, 10))
-	writeStreamJSON(w, "stream-append", http.StatusOK, snap)
+	return writeJSON(w, http.StatusOK, snap)
 }
 
 // streamGet maps GET /v1/stream/{id}: the latest snapshot.
-func (s *Service) streamGet(w http.ResponseWriter, r *http.Request) {
-	if err := newRequestOptions(r).Err(); err != nil {
-		s.fail(w, "stream", err)
-		return
-	}
+func (s *Service) streamGet(w http.ResponseWriter, r *http.Request, _ *noOptions) error {
 	st := s.streams.Get(r.PathValue("id"))
 	if st == nil {
-		s.fail(w, "stream", notFound("no such stream"))
-		return
+		return notFound("no such stream")
 	}
 	snap := st.Latest()
 	if snap == nil {
-		s.fail(w, "stream", notFound("stream has no snapshot yet"))
-		return
+		return notFound("stream has no snapshot yet")
 	}
 	w.Header().Set("X-Coplot-Stream-Version", strconv.FormatUint(snap.Version, 10))
-	writeStreamJSON(w, "stream", http.StatusOK, snap)
+	return writeJSON(w, http.StatusOK, snap)
 }
 
 // streamDelete maps DELETE /v1/stream/{id}. Watchers of a deleted
 // stream keep their subscriptions; they stop receiving new versions
 // once every appender reference is gone.
-func (s *Service) streamDelete(w http.ResponseWriter, r *http.Request) {
-	if err := newRequestOptions(r).Err(); err != nil {
-		s.fail(w, "stream", err)
-		return
-	}
+func (s *Service) streamDelete(w http.ResponseWriter, r *http.Request, _ *noOptions) error {
 	if !s.streams.Delete(r.PathValue("id")) {
-		s.fail(w, "stream", notFound("no such stream"))
-		return
+		return notFound("no such stream")
 	}
 	w.WriteHeader(http.StatusNoContent)
+	return nil
 }
 
 // streamList maps GET /v1/streams: the registered stream ids, sorted.
-func (s *Service) streamList(w http.ResponseWriter, r *http.Request) {
-	if err := newRequestOptions(r).Err(); err != nil {
-		s.fail(w, "streams", err)
-		return
-	}
-	writeStreamJSON(w, "streams", http.StatusOK, map[string]any{"streams": s.streams.List()})
+func (s *Service) streamList(w http.ResponseWriter, r *http.Request, _ *noOptions) error {
+	return writeJSON(w, http.StatusOK, map[string]any{"streams": s.streams.List()})
 }
 
 // streamWatch maps GET /v1/stream/{id}/watch: a Server-Sent Events
@@ -221,16 +153,14 @@ func (s *Service) streamList(w http.ResponseWriter, r *http.Request) {
 // version twice. Each snapshot arrives as a `snapshot` event (the SSE
 // id is the version); every drift crossing in it is re-emitted as a
 // separate `drift` event for consumers that only care about anomalies.
-func (s *Service) streamWatch(w http.ResponseWriter, r *http.Request) {
+func (s *Service) streamWatch(w http.ResponseWriter, r *http.Request, _ *noOptions) error {
 	st := s.streams.Get(r.PathValue("id"))
 	if st == nil {
-		s.fail(w, "stream-watch", notFound("no such stream"))
-		return
+		return notFound("no such stream")
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, CodeInternal, "stream-watch", "streaming unsupported by this connection")
-		return
+		return errors.New("streaming unsupported by this connection")
 	}
 	ch, cancel := st.Subscribe()
 	defer cancel()
@@ -243,20 +173,20 @@ func (s *Service) streamWatch(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case <-ctx.Done():
-			return
+			return nil
 		case snap, ok := <-ch:
 			if !ok {
-				return
+				return nil
 			}
 			data, err := json.Marshal(snap)
 			if err != nil {
-				return
+				return nil
 			}
 			fmt.Fprintf(w, "event: snapshot\nid: %d\ndata: %s\n\n", snap.Version, data)
 			for _, d := range snap.Drift {
 				dd, err := json.Marshal(d)
 				if err != nil {
-					return
+					return nil
 				}
 				fmt.Fprintf(w, "event: drift\nid: %d\ndata: %s\n\n", snap.Version, dd)
 			}

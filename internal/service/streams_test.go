@@ -300,3 +300,45 @@ func TestStreamConcurrentAppendersAndWatchers(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamPinnedOptionsCompareDecodedValues holds a follow-up
+// append's pinned options to their decoded values: another spelling of
+// the same value is the same option, a different value is a conflict.
+func TestStreamPinnedOptionsCompareDecodedValues(t *testing.T) {
+	svc := mustNew(t, Config{Jobs: 1, CorpusJobs: -1})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	chunks := chunkedSWF(t, 21, 60, 3)
+	appendChunk(t, ts, "/v1/stream/p/append?obs=a&seed=5&drift-pos=0.25", chunks[0])
+	appendChunk(t, ts, "/v1/stream/p/append?obs=a&seed=05&drift-pos=0.250", chunks[1])
+	resp, body := post(t, ts, "/v1/stream/p/append?obs=a&seed=6", chunks[2])
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), "seed=6 conflicts with the stream's seed=5") {
+		t.Fatalf("seed=6 answered %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestStreamWatchRejectsUnknownOptions holds the SSE feed to the rule
+// every other /v1 route follows: an undeclared query parameter is a
+// 400 naming it, not a silently ignored subscription.
+func TestStreamWatchRejectsUnknownOptions(t *testing.T) {
+	svc := mustNew(t, Config{Jobs: 1, CorpusJobs: -1})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	appendChunk(t, ts, "/v1/stream/w/append", chunkedSWF(t, 22, 30, 1)[0])
+	resp, err := http.Get(ts.URL + "/v1/stream/w/watch?bogus=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("watch?bogus=1 answered %d %s", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	body, _ := io.ReadAll(resp.Body)
+	var env struct {
+		Error apiError `json:"error"`
+	}
+	if err := json.Unmarshal(body, &env); err != nil ||
+		env.Error.Code != CodeBadRequest || env.Error.Endpoint != "stream-watch" || !strings.Contains(env.Error.Message, `"bogus"`) {
+		t.Fatalf("watch?bogus=1 answered %s", body)
+	}
+}

@@ -16,7 +16,6 @@ import (
 	"io"
 	"mime/multipart"
 	"net/http"
-	"net/url"
 	"strconv"
 )
 
@@ -132,72 +131,10 @@ func decodeError(status int, body []byte) error {
 	return &Error{Status: status, Message: string(bytes.TrimSpace(body))}
 }
 
-// MachineOptions are the shared machine description options. Zero
-// values mean the server defaults (128 processors, EASY scheduling,
-// unlimited allocation).
-type MachineOptions struct {
-	Procs int
-	Sched string
-	Alloc string
-}
-
-// apply folds the set options into q.
-func (m MachineOptions) apply(q url.Values) {
-	if m.Procs != 0 {
-		q.Set("procs", strconv.Itoa(m.Procs))
-	}
-	if m.Sched != "" {
-		q.Set("sched", m.Sched)
-	}
-	if m.Alloc != "" {
-		q.Set("alloc", m.Alloc)
-	}
-}
-
-// query renders q as a URL suffix ("" when empty).
-func query(q url.Values) string {
-	if len(q) == 0 {
-		return ""
-	}
-	return "?" + q.Encode()
-}
-
-// AnalyzeOptions tune POST /v1/analyze. Zero values mean the server
-// defaults; Seed 0 is sent explicitly (the server default is 7).
-type AnalyzeOptions struct {
-	Prune     float64
-	Seed      uint64
-	SeedSet   bool // send Seed even when it is 0
-	Procs     int
-	Landmarks int
-	Vars      string // comma-separated variable codes, "" = all
-}
-
-// apply folds the set options into q.
-func (o AnalyzeOptions) apply(q url.Values) {
-	if o.Prune != 0 {
-		q.Set("prune", strconv.FormatFloat(o.Prune, 'g', -1, 64))
-	}
-	if o.Seed != 0 || o.SeedSet {
-		q.Set("seed", strconv.FormatUint(o.Seed, 10))
-	}
-	if o.Procs != 0 {
-		q.Set("procs", strconv.Itoa(o.Procs))
-	}
-	if o.Landmarks != 0 {
-		q.Set("landmarks", strconv.Itoa(o.Landmarks))
-	}
-	if o.Vars != "" {
-		q.Set("vars", o.Vars)
-	}
-}
-
 // AnalyzeCSV runs the Co-plot pipeline over a CSV data matrix and
 // returns the textual report (byte-identical to cmd/coplot's stdout).
 func (c *Client) AnalyzeCSV(ctx context.Context, csv []byte, opts AnalyzeOptions) (string, *Meta, error) {
-	q := url.Values{}
-	opts.apply(q)
-	body, meta, err := c.Do(ctx, http.MethodPost, "/v1/analyze"+query(q), "text/csv", csv)
+	body, meta, err := c.Do(ctx, http.MethodPost, "/v1/analyze"+Query(opts), "text/csv", csv)
 	return string(body), meta, err
 }
 
@@ -224,59 +161,29 @@ func (c *Client) AnalyzeLogs(ctx context.Context, logs []NamedLog, opts AnalyzeO
 	if err := mw.Close(); err != nil {
 		return "", nil, err
 	}
-	q := url.Values{}
-	opts.apply(q)
-	body, meta, err := c.Do(ctx, http.MethodPost, "/v1/analyze"+query(q), mw.FormDataContentType(), buf.Bytes())
+	body, meta, err := c.Do(ctx, http.MethodPost, "/v1/analyze"+Query(opts), mw.FormDataContentType(), buf.Bytes())
 	return string(body), meta, err
 }
 
 // Variables computes the Table-1 workload variables of one SWF log
-// (byte-identical to cmd/wstat's stdout). name labels the report
-// ("" = the server default "log").
-func (c *Client) Variables(ctx context.Context, name string, swf []byte, m MachineOptions) (string, *Meta, error) {
-	q := url.Values{}
-	if name != "" {
-		q.Set("name", name)
-	}
-	m.apply(q)
-	body, meta, err := c.Do(ctx, http.MethodPost, "/v1/variables"+query(q), "text/plain", swf)
+// (byte-identical to cmd/wstat's stdout).
+func (c *Client) Variables(ctx context.Context, swf []byte, opts VariablesOptions) (string, *Meta, error) {
+	body, meta, err := c.Do(ctx, http.MethodPost, "/v1/variables"+Query(opts), "text/plain", swf)
 	return string(body), meta, err
 }
 
 // Hurst estimates the Hurst parameter of one SWF log's Table-3 series
 // (byte-identical to cmd/hurst's stdout).
-func (c *Client) Hurst(ctx context.Context, name string, swf []byte) (string, *Meta, error) {
-	q := url.Values{}
-	if name != "" {
-		q.Set("name", name)
-	}
-	body, meta, err := c.Do(ctx, http.MethodPost, "/v1/hurst"+query(q), "text/plain", swf)
+func (c *Client) Hurst(ctx context.Context, swf []byte, opts HurstOptions) (string, *Meta, error) {
+	body, meta, err := c.Do(ctx, http.MethodPost, "/v1/hurst"+Query(opts), "text/plain", swf)
 	return string(body), meta, err
-}
-
-// ValidateOptions tune POST /v1/validate beyond the machine options.
-type ValidateOptions struct {
-	Machine        MachineOptions
-	DowntimeFactor float64
-	TopUser        float64
 }
 
 // Validate audits one SWF log (byte-identical to cmd/swfcheck's
 // stdout) and additionally returns the error-severity finding count
 // from the X-Coplot-Validate-Errors header.
-func (c *Client) Validate(ctx context.Context, name string, swf []byte, opts ValidateOptions) (report string, errCount int, meta *Meta, err error) {
-	q := url.Values{}
-	if name != "" {
-		q.Set("name", name)
-	}
-	opts.Machine.apply(q)
-	if opts.DowntimeFactor != 0 {
-		q.Set("downtime-factor", strconv.FormatFloat(opts.DowntimeFactor, 'g', -1, 64))
-	}
-	if opts.TopUser != 0 {
-		q.Set("top-user", strconv.FormatFloat(opts.TopUser, 'g', -1, 64))
-	}
-	body, meta, err := c.Do(ctx, http.MethodPost, "/v1/validate"+query(q), "text/plain", swf)
+func (c *Client) Validate(ctx context.Context, swf []byte, opts ValidateOptions) (report string, errCount int, meta *Meta, err error) {
+	body, meta, err := c.Do(ctx, http.MethodPost, "/v1/validate"+Query(opts), "text/plain", swf)
 	if err != nil {
 		return "", 0, meta, err
 	}
@@ -286,40 +193,13 @@ func (c *Client) Validate(ctx context.Context, name string, swf []byte, opts Val
 
 // ScaleLoad applies one section-8 load-modification operator to an SWF
 // log and returns the scaled log in SWF.
-func (c *Client) ScaleLoad(ctx context.Context, swf []byte, method string, factor float64, procs int) (string, *Meta, error) {
-	q := url.Values{}
-	q.Set("method", method)
-	q.Set("factor", strconv.FormatFloat(factor, 'g', -1, 64))
-	if procs != 0 {
-		q.Set("procs", strconv.Itoa(procs))
-	}
-	body, meta, err := c.Do(ctx, http.MethodPost, "/v1/scale-load"+query(q), "text/plain", swf)
+func (c *Client) ScaleLoad(ctx context.Context, swf []byte, opts ScaleLoadOptions) (string, *Meta, error) {
+	body, meta, err := c.Do(ctx, http.MethodPost, "/v1/scale-load"+Query(opts), "text/plain", swf)
 	return string(body), meta, err
-}
-
-// GenerateOptions tune POST /v1/generate. Model is required; zero
-// values elsewhere mean the server defaults (procs 128, n 10000,
-// seed 1).
-type GenerateOptions struct {
-	Model string
-	Procs int
-	N     int
-	Seed  uint64
 }
 
 // Generate produces a synthetic SWF workload from a named model
 // (byte-identical to cmd/wgen's stdout).
 func (c *Client) Generate(ctx context.Context, opts GenerateOptions) ([]byte, *Meta, error) {
-	q := url.Values{}
-	q.Set("model", opts.Model)
-	if opts.Procs != 0 {
-		q.Set("procs", strconv.Itoa(opts.Procs))
-	}
-	if opts.N != 0 {
-		q.Set("n", strconv.Itoa(opts.N))
-	}
-	if opts.Seed != 0 {
-		q.Set("seed", strconv.FormatUint(opts.Seed, 10))
-	}
-	return c.Do(ctx, http.MethodPost, "/v1/generate"+query(q), "", nil)
+	return c.Do(ctx, http.MethodPost, "/v1/generate"+Query(opts), "", nil)
 }

@@ -10,8 +10,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/url"
-	"strconv"
 )
 
 // CorpusEntry is one corpus member, as the /v1/corpus endpoints render
@@ -39,13 +37,11 @@ type CorpusIndex struct {
 }
 
 // CorpusAdmit uploads one SWF log: the server analyzes it under the
-// machine options and admits it to the corpus under name (required).
-// Re-admitting the same log, name and machine is idempotent.
-func (c *Client) CorpusAdmit(ctx context.Context, name string, swf []byte, m MachineOptions) (*CorpusEntry, *Meta, error) {
-	q := url.Values{}
-	q.Set("name", name)
-	m.apply(q)
-	body, meta, err := c.Do(ctx, http.MethodPost, "/v1/corpus"+query(q), "text/plain", swf)
+// machine options and admits it to the corpus under opts.Name
+// (required). Re-admitting the same log, name and machine is
+// idempotent.
+func (c *Client) CorpusAdmit(ctx context.Context, swf []byte, opts CorpusAdmitOptions) (*CorpusEntry, *Meta, error) {
+	body, meta, err := c.Do(ctx, http.MethodPost, "/v1/corpus"+Query(opts), "text/plain", swf)
 	if err != nil {
 		return nil, meta, err
 	}
@@ -86,39 +82,6 @@ func (c *Client) CorpusGet(ctx context.Context, id string) (*CorpusEntry, *Meta,
 func (c *Client) CorpusDelete(ctx context.Context, id string) (*Meta, error) {
 	_, meta, err := c.Do(ctx, http.MethodDelete, "/v1/corpus/"+id, "", nil)
 	return meta, err
-}
-
-// MatchOptions tune POST /v1/match. Zero values mean the server
-// defaults: name "query", seed 7, the service-wide landmark threshold,
-// all neighbors, the default machine.
-type MatchOptions struct {
-	// Name labels the query observation in the joint embedding.
-	Name string
-	// Seed drives the embedding's multi-start solver.
-	Seed uint64
-	// Landmarks overrides the service-wide landmark threshold.
-	Landmarks int
-	// K truncates the neighbor list to the K nearest.
-	K int
-	// Machine describes the system the query trace ran on.
-	Machine MachineOptions
-}
-
-// apply folds the set options into q.
-func (o MatchOptions) apply(q url.Values) {
-	if o.Name != "" {
-		q.Set("name", o.Name)
-	}
-	if o.Seed != 0 {
-		q.Set("seed", strconv.FormatUint(o.Seed, 10))
-	}
-	if o.Landmarks != 0 {
-		q.Set("landmarks", strconv.Itoa(o.Landmarks))
-	}
-	if o.K != 0 {
-		q.Set("k", strconv.Itoa(o.K))
-	}
-	o.Machine.apply(q)
 }
 
 // Neighbor is one ranked corpus entry of a match result.
@@ -181,7 +144,5 @@ func (c *Client) Match(ctx context.Context, swf []byte, opts MatchOptions) (*Mat
 // MatchRaw is Match without decoding: the response's exact bytes, for
 // byte-identity comparisons across replicas and restarts.
 func (c *Client) MatchRaw(ctx context.Context, swf []byte, opts MatchOptions) ([]byte, *Meta, error) {
-	q := url.Values{}
-	opts.apply(q)
-	return c.Do(ctx, http.MethodPost, "/v1/match"+query(q), "text/plain", swf)
+	return c.Do(ctx, http.MethodPost, "/v1/match"+Query(opts), "text/plain", swf)
 }

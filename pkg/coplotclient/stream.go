@@ -8,46 +8,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/url"
-	"strconv"
 )
-
-// StreamOptions are the create-time options of a stream, pinned at
-// first append. Zero values mean the server defaults; later appends
-// may repeat the same values or omit them, but never change them.
-type StreamOptions struct {
-	// Obs names the observation the chunk folds into ("" = "log").
-	Obs string
-	// Seed drives the embedding solver.
-	Seed uint64
-	// Machine describes the system the logs ran on.
-	Machine MachineOptions
-	// DriftPos and DriftAngle set the stream's drift thresholds.
-	DriftPos   float64
-	DriftAngle float64
-	// Landmarks overrides the service-wide landmark threshold.
-	Landmarks int
-}
-
-// apply folds the set options into q.
-func (o StreamOptions) apply(q url.Values) {
-	if o.Obs != "" {
-		q.Set("obs", o.Obs)
-	}
-	if o.Seed != 0 {
-		q.Set("seed", strconv.FormatUint(o.Seed, 10))
-	}
-	o.Machine.apply(q)
-	if o.DriftPos != 0 {
-		q.Set("drift-pos", strconv.FormatFloat(o.DriftPos, 'g', -1, 64))
-	}
-	if o.DriftAngle != 0 {
-		q.Set("drift-angle", strconv.FormatFloat(o.DriftAngle, 'g', -1, 64))
-	}
-	if o.Landmarks != 0 {
-		q.Set("landmarks", strconv.Itoa(o.Landmarks))
-	}
-}
 
 // StreamPoint is one observation of a snapshot's embedding.
 type StreamPoint struct {
@@ -97,9 +58,7 @@ type StreamSnapshot struct {
 // on first use with the request's options, and returns the new
 // snapshot.
 func (c *Client) StreamAppend(ctx context.Context, id string, chunk []byte, opts StreamOptions) (*StreamSnapshot, *Meta, error) {
-	q := url.Values{}
-	opts.apply(q)
-	body, meta, err := c.Do(ctx, http.MethodPost, "/v1/stream/"+id+"/append"+query(q), "text/plain", chunk)
+	body, meta, err := c.Do(ctx, http.MethodPost, "/v1/stream/"+id+"/append"+Query(opts), "text/plain", chunk)
 	if err != nil {
 		return nil, meta, err
 	}
