@@ -159,10 +159,10 @@ func benchMDSMethod(b *testing.B, method mds.DisparityMethod) {
 	b.Helper()
 	ds := ablationDataset()
 	z := core.Normalize(ds)
-	d := core.CityBlock(z)
+	d := core.CityBlockWith(z, nil)
 	var last float64
 	for i := 0; i < b.N; i++ {
-		res, err := mds.SSA(d, mds.Options{Method: method, Seed: 3})
+		res, err := mds.SSAContext(context.Background(), d, mds.Options{Method: method, Seed: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,14 +179,14 @@ func BenchmarkAblationMDSMetric(b *testing.B)    { benchMDSMethod(b, mds.Metric)
 // the configuration SSA starts from — as the no-iteration baseline.
 func BenchmarkAblationMDSClassicalOnly(b *testing.B) {
 	ds := ablationDataset()
-	d := core.CityBlock(core.Normalize(ds))
+	d := core.CityBlockWith(core.Normalize(ds), nil)
 	var last float64
 	for i := 0; i < b.N; i++ {
 		x, err := mds.Classical(d, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = mds.Alienation(d, x)
+		last = mds.AlienationWith(d, x, nil)
 	}
 	b.ReportMetric(last, "alienation")
 }
@@ -198,7 +198,7 @@ func benchDistance(b *testing.B, euclidean bool) {
 	z := core.Normalize(ds)
 	var last float64
 	for i := 0; i < b.N; i++ {
-		d := core.CityBlock(z)
+		d := core.CityBlockWith(z, nil)
 		if euclidean {
 			// Rebuild with Euclidean distances.
 			for r := 0; r < z.Rows; r++ {
@@ -213,7 +213,7 @@ func benchDistance(b *testing.B, euclidean bool) {
 				}
 			}
 		}
-		res, err := mds.SSA(d, mds.Options{Seed: 3})
+		res, err := mds.SSAContext(context.Background(), d, mds.Options{Seed: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -300,11 +300,11 @@ func kernelMatrix(n, p int, seed uint64) *mat.Matrix {
 // scaling plus 7 random restarts (8 independent SMACOF runs), the
 // fan-out the -jobs budget parallelizes.
 func BenchmarkSSAMultiStart(b *testing.B) {
-	d := core.CityBlock(kernelMatrix(40, 9, 17))
+	d := core.CityBlockWith(kernelMatrix(40, 9, 17), nil)
 	benchKernelJobs(b, func(b *testing.B, budget *par.Budget) {
 		var last float64
 		for i := 0; i < b.N; i++ {
-			res, err := mds.SSA(d, mds.Options{Seed: 3, Restarts: 7, Par: budget})
+			res, err := mds.SSAContext(context.Background(), d, mds.Options{Seed: 3, Restarts: 7, Par: budget})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -421,7 +421,7 @@ func BenchmarkScaleAnalyzeLandmark(b *testing.B) { benchScaleAnalyze(b, scaleLan
 // visit ~1.2e11 pair-of-pairs here). The jobs=1/jobs=4 pair exposes
 // the blocked moment pass to the benchjson speedup gate.
 func BenchmarkScaleAlienation(b *testing.B) {
-	d := core.CityBlock(kernelMatrix(scaleObservations, 9, 41))
+	d := core.CityBlockWith(kernelMatrix(scaleObservations, 9, 41), nil)
 	x := kernelMatrix(scaleObservations, 2, 42)
 	benchKernelJobs(b, func(b *testing.B, budget *par.Budget) {
 		var sink float64
@@ -438,12 +438,12 @@ func BenchmarkScaleAlienation(b *testing.B) {
 // across iterations their allocs/op must match — an alloc count that
 // grows with the cap means a per-iteration allocation crept back in.
 func BenchmarkScaleSmacof(b *testing.B) {
-	d := core.CityBlock(kernelMatrix(120, 9, 17))
+	d := core.CityBlockWith(kernelMatrix(120, 9, 17), nil)
 	for _, iters := range []int{10, 200} {
 		b.Run(fmt.Sprintf("iters=%d", iters), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, err := mds.SSA(d, mds.Options{
+				_, err := mds.SSAContext(context.Background(), d, mds.Options{
 					Seed: 3, Restarts: -1, Method: mds.Monotone,
 					Tol: 1e-300, MaxIter: iters,
 				})

@@ -97,6 +97,10 @@ func realMain() int {
 	var prof obs.Profile
 	prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	if *landmarks < 0 {
+		fmt.Fprintf(os.Stderr, "coplot: -landmarks %d is negative\n", *landmarks)
+		return 2
+	}
 
 	stopProf, err := prof.Start()
 	if err != nil {
@@ -174,7 +178,7 @@ func realMain() int {
 			return 1
 		}
 	}
-	res, err := core.Analyze(ds, core.Options{
+	res, err := core.AnalyzeContext(context.Background(), ds, core.Options{
 		// The same -jobs budget that bounded the file fan-out drives
 		// the analysis kernels (SSA multi-starts, dissimilarity rows).
 		MDS:            mds.Options{Seed: *seed, Par: par.NewBudget(*jobs), Landmarks: *landmarks},

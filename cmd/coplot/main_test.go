@@ -1,12 +1,26 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"coplot/internal/service"
 )
+
+// TestMain runs the CLI itself when COPLOT_MAIN_ARGS is set (one
+// argument per line), so a test can check main's exit status in a
+// child process.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("COPLOT_MAIN_ARGS"); ok {
+		os.Args = append([]string{"coplot"}, strings.Split(args, "\n")...)
+		main()
+	}
+	os.Exit(m.Run())
+}
 
 func writeFile(t *testing.T, name, content string) string {
 	t.Helper()
@@ -132,5 +146,18 @@ func TestCacheKeyFor(t *testing.T) {
 	}
 	if _, ok := cacheKeyFor(filepath.Join(t.TempDir(), "none.csv"), nil, 0, "", 7, 128, 0); ok {
 		t.Fatal("unreadable input must not key")
+	}
+}
+
+// TestNegativeLandmarksIsUsageError: a negative -landmarks exits 2
+// naming the flag, instead of analyzing as if it were 0.
+func TestNegativeLandmarksIsUsageError(t *testing.T) {
+	csv := writeFile(t, "d.csv", "name,x,y\na,1,2\nb,3,4\nc,5,6\nd,7,9\n")
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "COPLOT_MAIN_ARGS=-landmarks\n-1\n-csv\n"+csv)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-landmarks") {
+		t.Fatalf("coplot -landmarks -1: %v\n%s", err, out)
 	}
 }

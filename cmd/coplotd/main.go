@@ -161,6 +161,10 @@ func realMain() int {
 	var prof obs.Profile
 	prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	if *landmarks < 0 {
+		fmt.Fprintf(os.Stderr, "coplotd: -landmarks %d is negative\n", *landmarks)
+		return 2
+	}
 
 	stopProf, err := prof.Start()
 	if err != nil {

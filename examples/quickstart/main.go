@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,7 @@ func main() {
 		},
 	}
 
-	res, err := core.Analyze(ds, core.Options{MDS: mds.Options{Seed: 1}})
+	res, err := core.AnalyzeContext(context.Background(), ds, core.Options{MDS: mds.Options{Seed: 1}})
 	if err != nil {
 		log.Fatal(err)
 	}

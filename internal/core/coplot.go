@@ -13,8 +13,9 @@
 //     variable's values and the projections of the points onto it.
 //
 // Variables whose maximal correlation is low do not fit the
-// two-dimensional picture and should be removed; Analyze automates the
-// paper's manual pruning loop with a correlation threshold.
+// two-dimensional picture and should be removed; AnalyzeContext
+// automates the paper's manual pruning loop with a correlation
+// threshold.
 package core
 
 import (
@@ -111,17 +112,19 @@ func (d *Dataset) DropObservations(names ...string) *Dataset {
 
 // Point is a mapped observation.
 type Point struct {
-	Name string
-	X, Y float64
+	Name string  `json:"name"`
+	X    float64 `json:"x"`
+	Y    float64 `json:"y"`
 }
 
 // Arrow is a variable's direction of maximal correlation. (DX, DY) is a
 // unit vector; Corr is the maximal correlation achieved along it — the
 // variable's goodness-of-fit measure in stage 4.
 type Arrow struct {
-	Name   string
-	DX, DY float64
-	Corr   float64
+	Name string  `json:"name"`
+	DX   float64 `json:"dx"`
+	DY   float64 `json:"dy"`
+	Corr float64 `json:"corr"`
 }
 
 // Angle returns the arrow direction in radians.
@@ -166,17 +169,15 @@ type Result struct {
 	Dissimilarities *mat.Matrix
 }
 
-// CityBlock computes the stage-2 dissimilarity matrix: the sum of
-// absolute deviations between normalized observation rows (equation 2).
-func CityBlock(z *mat.Matrix) *mat.Matrix { return CityBlockWith(z, nil) }
-
 // minCityBlockRows is the smallest row range worth handing to a helper
 // worker; the paper's 15-observation matrices always run inline.
 const minCityBlockRows = 64
 
-// CityBlockWith computes the same matrix with the row loop blocked on
-// the worker budget (nil = serial). Each block writes a disjoint set of
-// cells, so the result is identical at any worker count.
+// CityBlockWith computes the stage-2 dissimilarity matrix: the sum of
+// absolute deviations between normalized observation rows (equation
+// 2). The row loop is blocked on the worker budget (nil = serial); each
+// block writes a disjoint set of cells, so the result is identical at
+// any worker count.
 func CityBlockWith(z *mat.Matrix, b *par.Budget) *mat.Matrix {
 	n := z.Rows
 	d := mat.New(n, n)
@@ -213,16 +214,11 @@ func Normalize(ds *Dataset) *mat.Matrix {
 	return z
 }
 
-// Analyze runs the full Co-plot pipeline on the dataset.
-func Analyze(ds *Dataset, opts Options) (*Result, error) {
-	return AnalyzeContext(context.Background(), ds, opts)
-}
-
-// AnalyzeContext is Analyze under a context: cancellation is observed
-// between pruning rounds and between the solver's SMACOF iterations,
-// so a long analysis can be abandoned mid-run (a serving layer's
-// request deadline, a user's Ctrl-C). A cancelled analysis returns
-// ctx.Err(); a completed one is byte-identical to Analyze.
+// AnalyzeContext runs the full Co-plot pipeline on the dataset.
+// Cancellation is observed between pruning rounds and between the
+// solver's SMACOF iterations, so a long analysis can be abandoned
+// mid-run (a serving layer's request deadline, a user's Ctrl-C). A
+// cancelled analysis returns ctx.Err().
 func AnalyzeContext(ctx context.Context, ds *Dataset, opts Options) (*Result, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
@@ -270,54 +266,46 @@ func AnalyzeContext(ctx context.Context, ds *Dataset, opts Options) (*Result, er
 	}
 }
 
-// AnalyzeGaugedContext is AnalyzeContext followed by gauge
-// canonicalization: the fitted configuration is rescaled so the sum of
-// its squared pairwise distances equals that of the dissimilarities
-// (mds.ScaleToDissim) — the same normalization the streaming layer
-// applies to every accepted embedding. Non-metric MDS fixes only the
-// shape of a map, not its scale, so two maps whose inter-point
-// distances are to be compared numerically (the corpus matcher ranking
-// neighbors by map distance) must first be brought to this common
-// gauge. Arrows are scale-invariant and unaffected; only the point
-// coordinates change, by one uniform factor.
-func AnalyzeGaugedContext(ctx context.Context, ds *Dataset, opts Options) (*Result, error) {
-	res, err := AnalyzeContext(ctx, ds, opts)
+// Embedding is the output of stages 3–4: the SSA fit and one arrow per
+// variable, fitted on Fit.Config.
+type Embedding struct {
+	Fit    mds.Result
+	Arrows []Arrow
+}
+
+// Embed runs stages 3–4 on the normalized data z (one column per name
+// in vars) and its dissimilarities d: the SSA map, then one arrow per
+// variable fitted on it. AnalyzeContext, the corpus matcher and the
+// streaming updater all draw their maps here. A prior frame travels in
+// opts (InitialConfig with Restarts −1 for a warm descent, LandmarkSet
+// for a pinned landmark sample). The configuration comes back in the
+// solver's gauge; callers that compare distances across maps rescale it
+// with mds.ScaleToDissim. The arrows need no refit after that: a
+// uniform scale changes them only by rounding.
+func Embed(ctx context.Context, vars []string, z, d *mat.Matrix, opts mds.Options) (Embedding, error) {
+	fit, err := mds.SSAContext(ctx, d, opts)
 	if err != nil {
-		return nil, err
+		return Embedding{}, err
 	}
-	cfg := res.config()
-	if mds.ScaleToDissim(cfg, res.Dissimilarities) {
-		for i := range res.Points {
-			res.Points[i].X = cfg.At(i, 0)
-			res.Points[i].Y = cfg.At(i, 1)
-		}
-	}
-	return res, nil
+	return Embedding{Fit: fit, Arrows: FitArrows(vars, z, fit.Config)}, nil
 }
 
 // analyzeOnce runs stages 1–4 without pruning.
 func analyzeOnce(ctx context.Context, ds *Dataset, opts Options) (*Result, error) {
 	z := Normalize(ds)
 	d := CityBlockWith(z, opts.MDS.Par)
-	fit, err := mds.SSAContext(ctx, d, opts.MDS)
+	e, err := Embed(ctx, ds.Variables, z, d, opts.MDS)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
-		Alienation:      fit.Alienation,
-		Stress:          fit.Stress,
+		Points:          Points(ds.Observations, e.Fit.Config),
+		Arrows:          e.Arrows,
+		Alienation:      e.Fit.Alienation,
+		Stress:          e.Fit.Stress,
 		ZScores:         z,
 		Dissimilarities: d,
 	}
-	n := len(ds.Observations)
-	for i := 0; i < n; i++ {
-		res.Points = append(res.Points, Point{
-			Name: ds.Observations[i],
-			X:    fit.Config.At(i, 0),
-			Y:    fit.Config.At(i, 1),
-		})
-	}
-	res.Arrows = FitArrows(ds.Variables, z, fit.Config)
 	var sum float64
 	min := math.Inf(1)
 	for _, a := range res.Arrows {
@@ -333,15 +321,22 @@ func analyzeOnce(ctx context.Context, ds *Dataset, opts Options) (*Result, error
 	return res, nil
 }
 
+// Points labels the rows of a two-dimensional configuration.
+func Points(names []string, config *mat.Matrix) []Point {
+	pts := make([]Point, len(names))
+	for i, name := range names {
+		pts[i] = Point{Name: name, X: config.At(i, 0), Y: config.At(i, 1)}
+	}
+	return pts
+}
+
 // FitArrows computes stage 4: for each variable, the direction through
 // the configuration's center of gravity that maximizes the correlation
 // between the variable's values and the point projections. The optimal
 // direction is the least-squares regression of z_j on the coordinates,
 // and the achieved correlation is the multiple correlation coefficient.
 // z holds one column of normalized values per name; config one
-// coordinate row per observation. Exported so layers that maintain
-// their own configurations (the streaming updater) fit arrows through
-// the same code path as Analyze.
+// coordinate row per observation. Embed calls it for every map.
 func FitArrows(names []string, z *mat.Matrix, config *mat.Matrix) []Arrow {
 	n := config.Rows
 	arrows := make([]Arrow, 0, len(names))

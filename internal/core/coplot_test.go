@@ -101,7 +101,7 @@ func TestNormalizeColumns(t *testing.T) {
 
 func TestCityBlockMetricAxioms(t *testing.T) {
 	ds := syntheticDataset(8, 0.3, 3)
-	d := CityBlock(Normalize(ds))
+	d := CityBlockWith(Normalize(ds), nil)
 	n := d.Rows
 	for i := 0; i < n; i++ {
 		if d.At(i, i) != 0 {
@@ -125,7 +125,7 @@ func TestCityBlockMetricAxioms(t *testing.T) {
 
 func TestAnalyzeRecoversCorrelationStructure(t *testing.T) {
 	ds := syntheticDataset(14, 0.15, 4)
-	res, err := Analyze(ds, Options{MDS: mds.Options{Seed: 5}})
+	res, err := AnalyzeContext(context.Background(), ds, Options{MDS: mds.Options{Seed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestAnalyzeProjectionsMatchValues(t *testing.T) {
 	// Observations above average in a variable must project positively
 	// on its arrow (for well-fitting variables).
 	ds := syntheticDataset(12, 0.1, 6)
-	res, err := Analyze(ds, Options{MDS: mds.Options{Seed: 7}})
+	res, err := AnalyzeContext(context.Background(), ds, Options{MDS: mds.Options{Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestAnalyzePruning(t *testing.T) {
 	for i := range ds.X {
 		ds.X[i] = append(ds.X[i], r.Norm())
 	}
-	res, err := Analyze(ds, Options{MDS: mds.Options{Seed: 10}, PruneThreshold: 0.7})
+	res, err := AnalyzeContext(context.Background(), ds, Options{MDS: mds.Options{Seed: 10}, PruneThreshold: 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestAnalyzePruning(t *testing.T) {
 
 func TestAnalyzeMinVariablesFloor(t *testing.T) {
 	ds := syntheticDataset(10, 2.0, 11) // heavy noise: everything fits badly
-	res, err := Analyze(ds, Options{MDS: mds.Options{Seed: 12}, PruneThreshold: 0.99, MinVariables: 4})
+	res, err := AnalyzeContext(context.Background(), ds, Options{MDS: mds.Options{Seed: 12}, PruneThreshold: 0.99, MinVariables: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestClusterArrowsWrapAround(t *testing.T) {
 
 func TestProjectionErrors(t *testing.T) {
 	ds := syntheticDataset(8, 0.1, 13)
-	res, err := Analyze(ds, Options{MDS: mds.Options{Seed: 14}})
+	res, err := AnalyzeContext(context.Background(), ds, Options{MDS: mds.Options{Seed: 14}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestProjectionErrors(t *testing.T) {
 
 func TestASCIIMapContainsLabels(t *testing.T) {
 	ds := syntheticDataset(8, 0.1, 15)
-	res, err := Analyze(ds, Options{MDS: mds.Options{Seed: 16}})
+	res, err := AnalyzeContext(context.Background(), ds, Options{MDS: mds.Options{Seed: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestASCIIMapContainsLabels(t *testing.T) {
 
 func TestSVGWellFormed(t *testing.T) {
 	ds := syntheticDataset(8, 0.1, 17)
-	res, err := Analyze(ds, Options{MDS: mds.Options{Seed: 18}})
+	res, err := AnalyzeContext(context.Background(), ds, Options{MDS: mds.Options{Seed: 18}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestSVGWellFormed(t *testing.T) {
 func TestSVGEscapesNames(t *testing.T) {
 	ds := syntheticDataset(6, 0.1, 19)
 	ds.Observations[0] = `<&">`
-	res, err := Analyze(ds, Options{MDS: mds.Options{Seed: 20}})
+	res, err := AnalyzeContext(context.Background(), ds, Options{MDS: mds.Options{Seed: 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func BenchmarkAnalyze15x12(b *testing.B) {
 	ds := syntheticDataset(15, 0.2, 21)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Analyze(ds, Options{MDS: mds.Options{Seed: 22}}); err != nil {
+		if _, err := AnalyzeContext(context.Background(), ds, Options{MDS: mds.Options{Seed: 22}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -357,7 +357,7 @@ func BenchmarkAnalyze15x12(b *testing.B) {
 
 func TestReportContainsSections(t *testing.T) {
 	ds := syntheticDataset(10, 0.1, 80)
-	res, err := Analyze(ds, Options{MDS: mds.Options{Seed: 81}, PruneThreshold: 0})
+	res, err := AnalyzeContext(context.Background(), ds, Options{MDS: mds.Options{Seed: 81}, PruneThreshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestReportContainsSections(t *testing.T) {
 
 func TestShepardFromResult(t *testing.T) {
 	ds := syntheticDataset(10, 0.1, 82)
-	res, err := Analyze(ds, Options{MDS: mds.Options{Seed: 83}})
+	res, err := AnalyzeContext(context.Background(), ds, Options{MDS: mds.Options{Seed: 83}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestShepardFromResult(t *testing.T) {
 
 func TestFitExtraVariable(t *testing.T) {
 	ds := syntheticDataset(12, 0.1, 90)
-	res, err := Analyze(ds, Options{MDS: mds.Options{Seed: 91}})
+	res, err := AnalyzeContext(context.Background(), ds, Options{MDS: mds.Options{Seed: 91}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,25 +440,5 @@ func TestAnalyzeContextCancelled(t *testing.T) {
 	cancel()
 	if _, err := AnalyzeContext(ctx, ds, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestAnalyzeContextBackgroundMatchesAnalyze(t *testing.T) {
-	ds := syntheticDataset(18, 0.1, 6)
-	a, err := Analyze(ds, Options{MDS: mds.Options{Seed: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := AnalyzeContext(context.Background(), ds, Options{MDS: mds.Options{Seed: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Alienation != b.Alienation || len(a.Points) != len(b.Points) {
-		t.Fatalf("Analyze and AnalyzeContext diverged: %v vs %v", a.Alienation, b.Alienation)
-	}
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] {
-			t.Fatalf("point %d differs: %+v vs %+v", i, a.Points[i], b.Points[i])
-		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func TestImpliedCorrelation(t *testing.T) {
 	ds := syntheticDataset(14, 0.1, 30)
-	res, err := Analyze(ds, Options{MDS: mds.Options{Seed: 31}})
+	res, err := AnalyzeContext(context.Background(), ds, Options{MDS: mds.Options{Seed: 31}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestCorrelationFidelity(t *testing.T) {
 	// On clean two-factor data the arrow cosines should track the
 	// Pearson correlations closely.
 	ds := syntheticDataset(16, 0.1, 32)
-	res, err := Analyze(ds, Options{MDS: mds.Options{Seed: 33}})
+	res, err := AnalyzeContext(context.Background(), ds, Options{MDS: mds.Options{Seed: 33}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestAnalyzeAffineInvariance(t *testing.T) {
 	// Stage 1 z-normalizes every variable, so rescaling and shifting any
 	// column must leave the whole analysis unchanged.
 	ds := syntheticDataset(12, 0.15, 70)
-	res1, err := Analyze(ds, Options{MDS: mds.Options{Seed: 71}})
+	res1, err := AnalyzeContext(context.Background(), ds, Options{MDS: mds.Options{Seed: 71}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestAnalyzeAffineInvariance(t *testing.T) {
 		}
 		scaled.X = append(scaled.X, nr)
 	}
-	res2, err := Analyze(scaled, Options{MDS: mds.Options{Seed: 71}})
+	res2, err := AnalyzeContext(context.Background(), scaled, Options{MDS: mds.Options{Seed: 71}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -352,24 +352,6 @@ type Neighbor struct {
 	Deltas map[string]float64 `json:"deltas"`
 }
 
-// MatchPoint is one observation of the joint embedding.
-type MatchPoint struct {
-	// Name labels the point; the query's point carries the query name.
-	Name string  `json:"name"`
-	X    float64 `json:"x"` // X is the gauge-canonicalized map abscissa.
-	Y    float64 `json:"y"` // Y is the gauge-canonicalized map ordinate.
-}
-
-// MatchArrow is one variable arrow of the joint embedding.
-type MatchArrow struct {
-	// Name is the variable code.
-	Name string  `json:"name"`
-	DX   float64 `json:"dx"` // DX is the arrow direction's x component.
-	DY   float64 `json:"dy"` // DY is the arrow direction's y component.
-	// Corr is the maximal correlation achieved along it.
-	Corr float64 `json:"corr"`
-}
-
 // MatchResult is a completed match: the ranked neighbors plus the
 // joint embedding they were ranked in.
 type MatchResult struct {
@@ -385,20 +367,20 @@ type MatchResult struct {
 	// Neighbors is the ranked list, nearest first; ties break by entry
 	// name, then ID.
 	Neighbors []Neighbor `json:"neighbors"`
-	// Points holds the joint embedding (corpus entries in canonical
-	// order, the query last).
-	Points []MatchPoint `json:"points"`
+	// Points holds the joint embedding in the dissimilarity gauge
+	// (corpus entries in canonical order, the query last).
+	Points []core.Point `json:"points"`
 	// Arrows holds the joint embedding's variable arrows.
-	Arrows []MatchArrow `json:"arrows"`
+	Arrows []core.Arrow `json:"arrows"`
 }
 
 // Match embeds the query jointly with the corpus entries and ranks the
 // entries by map distance to the query. entries must already be in
 // canonical order (List or Merge provide it); the query row is
 // appended last. The joint table applies the batch pipeline's
-// column-mean substitution for missing values, the embedding honors
-// the landmark threshold, and the fitted configuration is brought to
-// the dissimilarity gauge before distances are read off.
+// column-mean substitution for missing values, core.Embed draws the
+// map (honoring the landmark threshold), and the configuration is
+// brought to the dissimilarity gauge before distances are read off.
 func Match(ctx context.Context, entries []*Entry, query workload.Variables, opts MatchOptions) (*MatchResult, error) {
 	if len(entries) < 2 {
 		return nil, fmt.Errorf("corpus: need at least 2 entries to match against, have %d", len(entries))
@@ -413,34 +395,34 @@ func Match(ctx context.Context, entries []*Entry, query workload.Variables, opts
 		return nil, err
 	}
 	ds := &core.Dataset{Observations: tab.Observations, Variables: tab.Codes, X: tab.Data}
-	res, err := core.AnalyzeGaugedContext(ctx, ds, core.Options{
-		MDS: mds.Options{Seed: opts.Seed, Par: opts.Par, Landmarks: opts.Landmarks},
-	})
+	if err := ds.Validate(); err != nil {
+		return nil, err
+	}
+	z := core.Normalize(ds)
+	d := core.CityBlockWith(z, opts.Par)
+	emb, err := core.Embed(ctx, ds.Variables, z, d, mds.Options{Seed: opts.Seed, Par: opts.Par, Landmarks: opts.Landmarks})
 	if err != nil {
 		return nil, err
 	}
-	qi := len(entries)
+	mds.ScaleToDissim(emb.Fit.Config, d)
 	out := &MatchResult{
 		Query:      query.Name,
 		CorpusSize: len(entries),
-		Alienation: res.Alienation,
-		Stress:     res.Stress,
+		Alienation: emb.Fit.Alienation,
+		Stress:     emb.Fit.Stress,
+		Points:     core.Points(ds.Observations, emb.Fit.Config),
+		Arrows:     emb.Arrows,
 	}
-	for _, p := range res.Points {
-		out.Points = append(out.Points, MatchPoint{Name: p.Name, X: p.X, Y: p.Y})
-	}
-	for _, a := range res.Arrows {
-		out.Arrows = append(out.Arrows, MatchArrow{Name: a.Name, DX: a.DX, DY: a.DY, Corr: a.Corr})
-	}
-	qp := res.Points[qi]
+	qi := len(entries)
+	qp := out.Points[qi]
 	for i, e := range entries {
 		deltas := make(map[string]float64, len(ds.Variables))
 		for j, code := range ds.Variables {
-			deltas[code] = res.ZScores.At(qi, j) - res.ZScores.At(i, j)
+			deltas[code] = z.At(qi, j) - z.At(i, j)
 		}
 		out.Neighbors = append(out.Neighbors, Neighbor{
 			ID: e.ID, Name: e.Name, Source: e.Source, Jobs: e.Jobs,
-			Distance: math.Hypot(res.Points[i].X-qp.X, res.Points[i].Y-qp.Y),
+			Distance: math.Hypot(out.Points[i].X-qp.X, out.Points[i].Y-qp.Y),
 			Deltas:   deltas,
 		})
 	}

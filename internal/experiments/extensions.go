@@ -143,7 +143,7 @@ func MapStability(ctx context.Context, env *Env) (*MapStabilityResult, error) {
 			return nil, err
 		}
 		ds := full.DropObservations(leftOut)
-		an, err := core.Analyze(ds, core.Options{MDS: cfg.mdsOptions()})
+		an, err := core.AnalyzeContext(ctx, ds, core.Options{MDS: cfg.mdsOptions()})
 		if err != nil {
 			return nil, err
 		}
@@ -246,7 +246,7 @@ func ParametricRoundTrip(ctx context.Context, env *Env) (*FigureResult, error) {
 		ds.X = append(ds.X, row)
 		cloneOf[cloneName] = name
 	}
-	res, err := core.Analyze(ds, core.Options{MDS: cfg.mdsOptions()})
+	res, err := core.AnalyzeContext(ctx, ds, core.Options{MDS: cfg.mdsOptions()})
 	if err != nil {
 		return nil, err
 	}

@@ -104,7 +104,7 @@ func figure1From(cfg Config, t1 *TableResult) (*FigureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Analyze(ds, core.Options{MDS: cfg.mdsOptions()})
+	res, err := core.AnalyzeContext(context.Background(), ds, core.Options{MDS: cfg.mdsOptions()})
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +190,7 @@ func figure2From(cfg Config, t1 *TableResult) (*FigureResult, error) {
 		return nil, err
 	}
 	ds := full.DropObservations("LANLb", "SDSCb")
-	res, err := core.Analyze(ds, core.Options{MDS: cfg.mdsOptions()})
+	res, err := core.AnalyzeContext(context.Background(), ds, core.Options{MDS: cfg.mdsOptions()})
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +293,7 @@ func figure3From(cfg Config, t1, t2 *TableResult) (*FigureResult, error) {
 		Variables:    ds1.Variables,
 		X:            append(append([][]float64(nil), ds1.X...), ds2.X...),
 	}
-	res, err := core.Analyze(ds, core.Options{MDS: cfg.mdsOptions()})
+	res, err := core.AnalyzeContext(context.Background(), ds, core.Options{MDS: cfg.mdsOptions()})
 	if err != nil {
 		return nil, err
 	}
@@ -463,7 +463,7 @@ func figure4From(ctx context.Context, env *Env, t1 *TableResult) (*FigureResult,
 	for i := range mtab.Data {
 		ds.X = append(ds.X, append([]float64(nil), mtab.Data[i]...))
 	}
-	res, err := core.Analyze(ds, core.Options{MDS: cfg.mdsOptions()})
+	res, err := core.AnalyzeContext(ctx, ds, core.Options{MDS: cfg.mdsOptions()})
 	if err != nil {
 		return nil, err
 	}
@@ -573,7 +573,7 @@ func params3From(cfg Config, t1 *TableResult) (*FigureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Analyze(ds, core.Options{MDS: cfg.mdsOptions()})
+	res, err := core.AnalyzeContext(context.Background(), ds, core.Options{MDS: cfg.mdsOptions()})
 	if err != nil {
 		return nil, err
 	}

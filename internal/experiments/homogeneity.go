@@ -77,7 +77,7 @@ func Homogeneity(ctx context.Context, env *Env, log *swf.Log, m machine.Machine,
 		ds.X = append(ds.X, row)
 		periodNames = append(periodNames, name)
 	}
-	res, err := core.Analyze(ds, core.Options{MDS: cfg.mdsOptions()})
+	res, err := core.AnalyzeContext(ctx, ds, core.Options{MDS: cfg.mdsOptions()})
 	if err != nil {
 		return nil, err
 	}

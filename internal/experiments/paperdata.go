@@ -101,7 +101,7 @@ func PaperFigures(ctx context.Context, env *Env) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	res1, err := core.Analyze(ds1, core.Options{MDS: cfg.mdsOptions()})
+	res1, err := core.AnalyzeContext(ctx, ds1, core.Options{MDS: cfg.mdsOptions()})
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +178,7 @@ func PaperFigures(ctx context.Context, env *Env) (*Output, error) {
 		return nil, err
 	}
 	ds2 := ds2Full.DropObservations("LANLb", "SDSCb")
-	res2, err := core.Analyze(ds2, core.Options{MDS: cfg.mdsOptions()})
+	res2, err := core.AnalyzeContext(ctx, ds2, core.Options{MDS: cfg.mdsOptions()})
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +209,7 @@ func PaperFigures(ctx context.Context, env *Env) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	res3, err := core.Analyze(ds3, core.Options{MDS: cfg.mdsOptions()})
+	res3, err := core.AnalyzeContext(ctx, ds3, core.Options{MDS: cfg.mdsOptions()})
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +234,7 @@ func PaperFigures(ctx context.Context, env *Env) (*Output, error) {
 		ds5.Observations = append(ds5.Observations, w)
 		ds5.X = append(ds5.X, row)
 	}
-	res5, err := core.Analyze(ds5, core.Options{MDS: cfg.mdsOptions()})
+	res5, err := core.AnalyzeContext(ctx, ds5, core.Options{MDS: cfg.mdsOptions()})
 	if err != nil {
 		return nil, err
 	}

@@ -229,7 +229,7 @@ func figure5From(cfg Config, t3 *Table3Result) (*FigureResult, error) {
 		ds.Observations = append(ds.Observations, w)
 		ds.X = append(ds.X, row)
 	}
-	res, err := core.Analyze(ds, core.Options{MDS: cfg.mdsOptions()})
+	res, err := core.AnalyzeContext(context.Background(), ds, core.Options{MDS: cfg.mdsOptions()})
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ func TestNoConvergenceOnStressRise(t *testing.T) {
 			ss = append(ss, stress)
 		}
 		d := randomDissim(rng.New(4000+seed), 18)
-		res, err := SSA(d, opts)
+		res, err := SSAContext(context.Background(), d, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestConvergedOnGenuineImprovement(t *testing.T) {
 	// Metric disparities keep the SMACOF descent guarantee, so an
 	// early halt can only be a genuine sub-tolerance improvement.
 	d := planarDissim(15, 3)
-	res, err := SSA(d, Options{Seed: 3, Restarts: -1, Method: Metric})
+	res, err := SSAContext(context.Background(), d, Options{Seed: 3, Restarts: -1, Method: Metric})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestConvergedOnGenuineImprovement(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("halted at iteration %d of %d without reporting Converged", res.Iterations, opts.MaxIter)
 	}
-	capped, err := SSA(d, Options{Seed: 3, Restarts: -1, MaxIter: 3, Tol: 1e-300})
+	capped, err := SSAContext(context.Background(), d, Options{Seed: 3, Restarts: -1, MaxIter: 3, Tol: 1e-300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestPerfectFitConvergesImmediately(t *testing.T) {
 	opts := Options{Seed: 9, Restarts: -1}.withDefaults()
 	for seed := uint64(0); seed < 8; seed++ {
 		d := randomDissim(rng.New(7000+seed), 3)
-		res, err := SSA(d, Options{Seed: 9, Restarts: -1})
+		res, err := SSAContext(context.Background(), d, Options{Seed: 9, Restarts: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestSmacofAllocsIterationInvariant(t *testing.T) {
 	run := func(maxIter int) float64 {
 		return testing.AllocsPerRun(5, func() {
 			// Tol below float resolution: the loop always runs to MaxIter.
-			_, err := SSA(d, Options{Seed: 3, Restarts: -1, Method: Monotone, MaxIter: maxIter, Tol: 1e-300})
+			_, err := SSAContext(context.Background(), d, Options{Seed: 3, Restarts: -1, Method: Monotone, MaxIter: maxIter, Tol: 1e-300})
 			if err != nil {
 				t.Fatal(err)
 			}

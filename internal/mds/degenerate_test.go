@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -59,7 +60,7 @@ func TestSSAConstantDissimilaritiesRejected(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := constantMatrix(6, 2.5)
-			_, err := SSA(d, Options{Seed: 1, Method: tc.method})
+			_, err := SSAContext(context.Background(), d, Options{Seed: 1, Method: tc.method})
 			if err == nil {
 				t.Fatal("constant dissimilarities accepted")
 			}
@@ -77,7 +78,7 @@ func TestSSAConstantDissimilaritiesRejected(t *testing.T) {
 // An all-zero matrix is the extreme constant case (it also used to slip
 // through as a perfect fit).
 func TestSSAZeroDissimilaritiesRejected(t *testing.T) {
-	_, err := SSA(mat.New(5, 5), Options{Seed: 1})
+	_, err := SSAContext(context.Background(), mat.New(5, 5), Options{Seed: 1})
 	var deg *DegenerateInputError
 	if !errors.As(err, &deg) {
 		t.Fatalf("err = %v, want *DegenerateInputError", err)
@@ -91,7 +92,7 @@ func TestSSANearConstantAccepted(t *testing.T) {
 	d := constantMatrix(6, 2.5)
 	d.Set(0, 1, 2.6)
 	d.Set(1, 0, 2.6)
-	res, err := SSA(d, Options{Seed: 1})
+	res, err := SSAContext(context.Background(), d, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,14 +127,14 @@ func TestBetterTotalOrder(t *testing.T) {
 func TestSSAReportsWinningStart(t *testing.T) {
 	d := testCityBlockDissim(t, 10, 3)
 	opts := Options{Seed: 11, Restarts: 5}
-	res, err := SSA(d, opts)
+	res, err := SSAContext(context.Background(), d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Start < 0 || res.Start > opts.Restarts {
 		t.Fatalf("Start = %d, want 0..%d", res.Start, opts.Restarts)
 	}
-	res2, err := SSA(d, opts)
+	res2, err := SSAContext(context.Background(), d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestSSAScaleInvariance(t *testing.T) {
 	r := rng.New(50)
 	pts := randomPoints(r, 10, 3)
 	d := euclideanDistances(pts)
-	res1, err := SSA(d, Options{Seed: 51})
+	res1, err := SSAContext(context.Background(), d, Options{Seed: 51})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +23,7 @@ func TestSSAScaleInvariance(t *testing.T) {
 	for i := range scaled.Data {
 		scaled.Data[i] *= 7.3
 	}
-	res2, err := SSA(scaled, Options{Seed: 51})
+	res2, err := SSAContext(context.Background(), scaled, Options{Seed: 51})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestSSAPermutationInvariance(t *testing.T) {
 	r := rng.New(52)
 	pts := randomPoints(r, 9, 3)
 	d := euclideanDistances(pts)
-	res1, err := SSA(d, Options{Seed: 53})
+	res1, err := SSAContext(context.Background(), d, Options{Seed: 53})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestSSAPermutationInvariance(t *testing.T) {
 			pd.Set(i, j, d.At(perm[i], perm[j]))
 		}
 	}
-	res2, err := SSA(pd, Options{Seed: 53})
+	res2, err := SSAContext(context.Background(), pd, Options{Seed: 53})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func TestLandmarkEquivalence(t *testing.T) {
 func TestLandmarkSetPinned(t *testing.T) {
 	d := planarDissim(80, 5)
 	set := []int{0, 7, 14, 21, 28, 35, 42, 49, 56, 63, 70, 77}
-	res, err := SSA(d, Options{Seed: 1, Landmarks: 1, LandmarkSet: set})
+	res, err := SSAContext(context.Background(), d, Options{Seed: 1, Landmarks: 1, LandmarkSet: set})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestLandmarkSetPinned(t *testing.T) {
 	}
 
 	for _, bad := range [][]int{{1, 2}, {0, 1, 80}, {0, 1, 1}} {
-		if _, err := SSA(d, Options{Seed: 1, Landmarks: 1, LandmarkSet: bad}); err == nil {
+		if _, err := SSAContext(context.Background(), d, Options{Seed: 1, Landmarks: 1, LandmarkSet: bad}); err == nil {
 			t.Errorf("invalid landmark set %v accepted", bad)
 		}
 	}
@@ -122,11 +122,11 @@ func TestLandmarkSetPinned(t *testing.T) {
 // result, so enabling -landmarks globally never changes small analyses.
 func TestLandmarkSmallMatrixFallsBackToFull(t *testing.T) {
 	d := planarDissim(15, 9)
-	full, err := SSA(d, Options{Seed: 3})
+	full, err := SSAContext(context.Background(), d, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	land, err := SSA(d, Options{Seed: 3, Landmarks: 100})
+	land, err := SSAContext(context.Background(), d, Options{Seed: 3, Landmarks: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestLandmarkDegenerateSampleFallsBack(t *testing.T) {
 			}
 		}
 	}
-	res, err := SSA(d, Options{Seed: 2, Landmarks: 10, LandmarkSet: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}})
+	res, err := SSAContext(context.Background(), d, Options{Seed: 2, Landmarks: 10, LandmarkSet: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}})
 	if err != nil {
 		t.Fatalf("degenerate landmark sample did not fall back: %v", err)
 	}

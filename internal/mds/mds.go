@@ -232,20 +232,14 @@ func Classical(d *mat.Matrix, dims int) (*mat.Matrix, error) {
 	return x, nil
 }
 
-// SSA fits a non-metric MDS configuration to the dissimilarity matrix
-// d. The classical-scaling start and the random restarts run
+// SSAContext fits a non-metric MDS configuration to the dissimilarity
+// matrix d. The classical-scaling start and the random restarts run
 // concurrently on the Options.Par budget; the winner is reduced by the
 // explicit (alienation, start index) order, so the output is
 // byte-identical to the serial solver at any worker count.
-func SSA(d *mat.Matrix, opts Options) (Result, error) {
-	return SSAContext(context.Background(), d, opts)
-}
-
-// SSAContext is SSA under a context: cancellation is observed between
-// SMACOF iterations (and by the multi-start fan-out), so a caller can
-// abandon a long fit mid-run. A cancelled solve returns ctx.Err(); a
-// completed solve is byte-identical to SSA regardless of how the
-// context was plumbed.
+// Cancellation is observed between SMACOF iterations (and by the
+// multi-start fan-out), so a caller can abandon a long fit mid-run; a
+// cancelled solve returns ctx.Err().
 func SSAContext(ctx context.Context, d *mat.Matrix, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	if err := checkDissim(d); err != nil {
@@ -645,16 +639,10 @@ func doSmacof(x, xNew *mat.Matrix, diss []pair, dist, disp []float64, n, dims in
 	}
 }
 
-// Alienation computes Θ for an explicit dissimilarity matrix and
-// configuration, for callers outside the solver.
-func Alienation(d *mat.Matrix, config *mat.Matrix) float64 {
-	return AlienationWith(d, config, nil)
-}
-
-// AlienationWith is Alienation with a worker budget for the fast
-// path's blocked moment pass (nil = serial), mirroring the
-// CityBlock/CityBlockWith convention. The result is byte-identical at
-// any worker count.
+// AlienationWith computes Θ for an explicit dissimilarity matrix and
+// configuration, for callers outside the solver. budget drives the
+// fast path's blocked moment pass (nil = serial); the result is
+// byte-identical at any worker count.
 func AlienationWith(d *mat.Matrix, config *mat.Matrix, budget *par.Budget) float64 {
 	diss := flattenPairs(d)
 	dist := make([]float64, len(diss))

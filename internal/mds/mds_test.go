@@ -95,7 +95,7 @@ func TestSSAPerfectEuclideanInput(t *testing.T) {
 	r := rng.New(2)
 	pts := randomPoints(r, 12, 2)
 	d := euclideanDistances(pts)
-	res, err := SSA(d, Options{Seed: 7})
+	res, err := SSAContext(context.Background(), d, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSSAOrderPreservation(t *testing.T) {
 			}
 		}
 	}
-	res, err := SSA(d, Options{Seed: 8})
+	res, err := SSAContext(context.Background(), d, Options{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +157,8 @@ func TestSSAImprovesOnClassicalForCityBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Alienation(d, x0)
-	res, err := SSA(d, Options{Seed: 9})
+	base := AlienationWith(d, x0, nil)
+	res, err := SSAContext(context.Background(), d, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestSSAMethods(t *testing.T) {
 	pts := randomPoints(r, 9, 3)
 	d := euclideanDistances(pts)
 	for _, m := range []DisparityMethod{RankImage, Monotone, Metric} {
-		res, err := SSA(d, Options{Method: m, Seed: 10})
+		res, err := SSAContext(context.Background(), d, Options{Method: m, Seed: 10})
 		if err != nil {
 			t.Fatalf("method %d: %v", m, err)
 		}
@@ -190,7 +190,7 @@ func TestSSATooFewObservations(t *testing.T) {
 	d := mat.New(2, 2)
 	d.Set(0, 1, 1)
 	d.Set(1, 0, 1)
-	if _, err := SSA(d, Options{}); err == nil {
+	if _, err := SSAContext(context.Background(), d, Options{}); err == nil {
 		t.Fatal("2 observations accepted")
 	}
 }
@@ -198,7 +198,7 @@ func TestSSATooFewObservations(t *testing.T) {
 func TestSSAConfigCentered(t *testing.T) {
 	r := rng.New(6)
 	pts := randomPoints(r, 8, 2)
-	res, err := SSA(euclideanDistances(pts), Options{Seed: 11})
+	res, err := SSAContext(context.Background(), euclideanDistances(pts), Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestAlienationBounds(t *testing.T) {
 	for i := range bad.Data {
 		bad.Data[i] = r.Norm()
 	}
-	a := Alienation(d, bad)
+	a := AlienationWith(d, bad, nil)
 	if a < 0 || a > 1 {
 		t.Fatalf("alienation = %v outside [0,1]", a)
 	}
@@ -233,7 +233,7 @@ func TestAlienationBounds(t *testing.T) {
 		pm.Set(i, 0, p[0])
 		pm.Set(i, 1, p[1])
 	}
-	if g := Alienation(d, pm); g > 1e-9 {
+	if g := AlienationWith(d, pm, nil); g > 1e-9 {
 		t.Fatalf("perfect configuration alienation = %v", g)
 	}
 }
@@ -249,7 +249,7 @@ func TestAlienationReflectsQuality(t *testing.T) {
 	// Swap nearest and farthest points to break monotonicity.
 	brokenPts := [][]float64{{9, 0}, {1, 0}, {4, 0}, {0, 0}}
 	broken := mat.FromRows(brokenPts)
-	if Alienation(d, good) >= Alienation(d, broken) {
+	if AlienationWith(d, good, nil) >= AlienationWith(d, broken, nil) {
 		t.Fatal("alienation did not penalize a broken configuration")
 	}
 }
@@ -258,7 +258,7 @@ func TestRotatePrincipalDeterministic(t *testing.T) {
 	// After principal-axis rotation the cross moment Σ x·y is ~0.
 	r := rng.New(8)
 	pts := randomPoints(r, 15, 2)
-	res, err := SSA(euclideanDistances(pts), Options{Seed: 12})
+	res, err := SSAContext(context.Background(), euclideanDistances(pts), Options{Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func BenchmarkSSA15Points(b *testing.B) {
 	d := euclideanDistances(pts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SSA(d, Options{Seed: 13}); err != nil {
+		if _, err := SSAContext(context.Background(), d, Options{Seed: 13}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -303,25 +303,5 @@ func TestSSAContextCancelledMidRun(t *testing.T) {
 	}
 	if iters > 4 {
 		t.Fatalf("solver kept iterating %d times after cancellation", iters)
-	}
-}
-
-func TestSSAContextBackgroundMatchesSSA(t *testing.T) {
-	d := randomDissim(rng.New(15), 15)
-	a, err := SSA(d, Options{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SSAContext(context.Background(), d, Options{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Alienation != b.Alienation || a.Start != b.Start || a.Iterations != b.Iterations {
-		t.Fatalf("SSA %+v != SSAContext %+v", a, b)
-	}
-	for i := range a.Config.Data {
-		if a.Config.Data[i] != b.Config.Data[i] {
-			t.Fatalf("configuration differs at %d", i)
-		}
 	}
 }

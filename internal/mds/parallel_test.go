@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -41,13 +42,13 @@ func TestSSAParallelMatchesSerial(t *testing.T) {
 	for _, method := range []DisparityMethod{RankImage, Monotone, Metric} {
 		d := testCityBlockDissim(t, 12, 3)
 		opts := Options{Seed: 7, Restarts: 6, Method: method}
-		serial, err := SSA(d, opts)
+		serial, err := SSAContext(context.Background(), d, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 			opts.Par = par.NewBudget(workers)
-			got, err := SSA(d, opts)
+			got, err := SSAContext(context.Background(), d, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,12 +67,12 @@ func TestSSABlockedDistancesMatchSerial(t *testing.T) {
 	}
 	d := testCityBlockDissim(t, 96, 2)
 	opts := Options{Seed: 3, Restarts: 1, MaxIter: 30}
-	serial, err := SSA(d, opts)
+	serial, err := SSAContext(context.Background(), d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Par = par.NewBudget(4)
-	got, err := SSA(d, opts)
+	got, err := SSAContext(context.Background(), d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

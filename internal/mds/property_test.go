@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -52,7 +53,7 @@ func TestAlienationInvariantUnderConfigSymmetries(t *testing.T) {
 			n := 4 + int(seed%6) // 4..9 observations
 			d := randomDissim(r, n)
 			x := randomConfig(r, n)
-			theta := Alienation(d, x)
+			theta := AlienationWith(d, x, nil)
 			if math.IsNaN(theta) || theta < 0 || theta > 1 {
 				t.Fatalf("theta = %v outside [0,1]", theta)
 			}
@@ -66,7 +67,7 @@ func TestAlienationInvariantUnderConfigSymmetries(t *testing.T) {
 				rot.Set(i, 0, c*a-s*b)
 				rot.Set(i, 1, s*a+c*b)
 			}
-			if got := Alienation(d, rot); math.Abs(got-theta) > 1e-9 {
+			if got := AlienationWith(d, rot, nil); math.Abs(got-theta) > 1e-9 {
 				t.Fatalf("rotation moved theta: %v -> %v", theta, got)
 			}
 
@@ -75,7 +76,7 @@ func TestAlienationInvariantUnderConfigSymmetries(t *testing.T) {
 			for i := 0; i < n; i++ {
 				ref.Set(i, 0, -ref.At(i, 0))
 			}
-			if got := Alienation(d, ref); math.Abs(got-theta) > 1e-9 {
+			if got := AlienationWith(d, ref, nil); math.Abs(got-theta) > 1e-9 {
 				t.Fatalf("reflection moved theta: %v -> %v", theta, got)
 			}
 
@@ -90,7 +91,7 @@ func TestAlienationInvariantUnderConfigSymmetries(t *testing.T) {
 				px.Set(i, 0, x.At(perm[i], 0))
 				px.Set(i, 1, x.At(perm[i], 1))
 			}
-			if got := Alienation(pd, px); math.Abs(got-theta) > 1e-9 {
+			if got := AlienationWith(pd, px, nil); math.Abs(got-theta) > 1e-9 {
 				t.Fatalf("relabeling moved theta: %v -> %v", theta, got)
 			}
 		})
@@ -123,7 +124,7 @@ func TestSmacofStressMonotone(t *testing.T) {
 				n := 5 + int(seed%5) // 5..9 observations
 				d := randomDissim(r, n)
 				trace := map[int][]float64{}
-				_, err := SSA(d, Options{
+				_, err := SSAContext(context.Background(), d, Options{
 					Method:   tc.method,
 					Seed:     seed,
 					Restarts: 2,

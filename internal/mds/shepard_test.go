@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,7 +12,7 @@ func TestShepardPerfectFit(t *testing.T) {
 	r := rng.New(1)
 	pts := randomPoints(r, 10, 2)
 	d := euclideanDistances(pts)
-	res, err := SSA(d, Options{Seed: 2})
+	res, err := SSAContext(context.Background(), d, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestShepardDetectsBadConfig(t *testing.T) {
 	r := rng.New(3)
 	pts := randomPoints(r, 12, 2)
 	d := euclideanDistances(pts)
-	res, err := SSA(d, Options{Seed: 4})
+	res, err := SSAContext(context.Background(), d, Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestWarmStartConvergesFaster(t *testing.T) {
 	d := planarDissim(12, 3)
 
 	var coldIters int
-	cold, err := SSA(d, Options{Seed: 5, Trace: func(start, iter int, stress float64) { coldIters++ }})
+	cold, err := SSAContext(context.Background(), d, Options{Seed: 5, Trace: func(start, iter int, stress float64) { coldIters++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestWarmStartConvergesFaster(t *testing.T) {
 	// equivalence tests compare Procrustes-aligned maps under a
 	// tolerance instead of demanding bitwise identity.
 	var warmIters int
-	warm, err := SSA(d, Options{
+	warm, err := SSAContext(context.Background(), d, Options{
 		Seed: 5, Restarts: -1, InitialConfig: cold.Config,
 		Trace: func(start, iter int, stress float64) { warmIters++ },
 	})
@@ -74,10 +75,10 @@ func TestWarmStartConvergesFaster(t *testing.T) {
 
 func TestWarmStartShapeMismatch(t *testing.T) {
 	d := planarDissim(6, 1)
-	if _, err := SSA(d, Options{InitialConfig: mat.New(5, 2)}); err == nil {
+	if _, err := SSAContext(context.Background(), d, Options{InitialConfig: mat.New(5, 2)}); err == nil {
 		t.Fatal("5-row initial config accepted for a 6-point solve")
 	}
-	if _, err := SSA(d, Options{InitialConfig: mat.New(6, 3)}); err == nil {
+	if _, err := SSAContext(context.Background(), d, Options{InitialConfig: mat.New(6, 3)}); err == nil {
 		t.Fatal("3-column initial config accepted for a 2-D solve")
 	}
 }
@@ -90,7 +91,7 @@ func TestWarmStartDoesNotMutateInitialConfig(t *testing.T) {
 		init.Data[i] = r.Norm()
 	}
 	before := append([]float64(nil), init.Data...)
-	if _, err := SSA(d, Options{Restarts: -1, InitialConfig: init}); err != nil {
+	if _, err := SSAContext(context.Background(), d, Options{Restarts: -1, InitialConfig: init}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range before {

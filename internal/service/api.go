@@ -135,13 +135,18 @@ func (s *Service) defaultValue(o coplotclient.Option) string {
 	panic(fmt.Sprintf("option %s: default %q names no server setting", o.Name, o.Default))
 }
 
-// setOption parses raw into the option field f.
+// setOption parses raw into the option field f. Integer options are
+// counts (processors, jobs, landmarks, neighbors), so a negative value
+// is refused rather than read as some other count.
 func setOption(f reflect.Value, raw string) error {
 	switch f.Kind() {
 	case reflect.Int:
 		n, err := strconv.Atoi(raw)
 		if err != nil {
 			return err
+		}
+		if n < 0 {
+			return fmt.Errorf("%d is negative", n)
 		}
 		f.SetInt(int64(n))
 	case reflect.Uint64:

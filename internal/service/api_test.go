@@ -240,6 +240,33 @@ func TestNonPositiveProcsRejected(t *testing.T) {
 	}
 }
 
+// TestNegativeCountsRejected: a negative integer option answers 400
+// bad_request naming it, on every route that takes one, instead of
+// being served as if it were 0 (k, landmarks) or reaching a generator
+// that cannot size a negative log (n).
+func TestNegativeCountsRejected(t *testing.T) {
+	svc := mustNew(t, Config{Jobs: 1, CorpusJobs: corpusTestJobs})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	log := wireLog(0, 60)
+	for _, c := range []struct {
+		path, option string
+		body         []byte
+	}{
+		{"/v1/match?k=-3", "k", log},
+		{"/v1/match?landmarks=-5", "landmarks", log},
+		{"/v1/analyze?landmarks=-5", "landmarks", []byte(testCSV)},
+		{"/v1/stream/n/append?landmarks=-5", "landmarks", log},
+		{"/v1/generate?model=lublin&n=-3", "n", nil},
+	} {
+		resp, body := post(t, ts, c.path, c.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"code":"bad_request"`) ||
+			!strings.Contains(string(body), "option "+c.option+":") {
+			t.Errorf("%s: %d %.120s, want 400 bad_request naming %s", c.path, resp.StatusCode, body, c.option)
+		}
+	}
+}
+
 // FuzzDecodeOptions throws arbitrary query strings at every route's
 // option declaration and holds the decoder to its contract: it never
 // panics; an input either decodes or fails 400 naming a parameter; and

@@ -8,9 +8,13 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -400,3 +404,101 @@ func TestCorpusMetricsSurface(t *testing.T) {
 // log), then the models ordered by joint-map distance. A change here
 // means the embedding, normalization, or gauge canonicalization moved.
 var goldenModelOrder = []string{"Feitelson96", "Feitelson97", "Downey", "Lublin", "Jann"}
+
+// TestMatchBytesPinned pins the /v1/match bodies of the Feitelson96
+// probe to fixed digests. Match answers persist in the durable cache,
+// so a refactor of the embedding, the gauge or the JSON shape must not
+// move a single bit of them; the other match tests compare bytes only
+// within one build. landmarks=10 puts the 16-observation joint table on
+// the landmark path. The digests are amd64's: architectures whose
+// compilers fuse multiply-adds may round differently.
+func TestMatchBytesPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	c := corpusClient(t, Config{Jobs: 1})
+	probe := feitelson96Probe(t)
+	for _, tc := range []struct {
+		opts coplotclient.MatchOptions
+		want string
+	}{
+		{coplotclient.MatchOptions{}, "3ab97f81ab437546a4ec74ddec17969b33d7af9f61698fa72d06d2012b4ee0c8"},
+		{coplotclient.MatchOptions{K: 3}, "2c4a9633854fcfbd4c3336b55a4ac642905c3cb619b2feff577b60fb0e9443c7"},
+		{coplotclient.MatchOptions{Landmarks: 10}, "8a416c0f1e61bc3691a16dcabd8652eb8676aedae046ca73127c222993056fff"},
+	} {
+		body, _, err := c.MatchRaw(context.Background(), probe, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(body)
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("match%s: sha256 %s, want %s", coplotclient.Query(tc.opts), got, tc.want)
+		}
+	}
+}
+
+// requireWireParity decodes a server body into the client's type dst,
+// refusing fields the client does not declare, and requires the
+// client's re-encoding to reproduce the body byte for byte (bar the
+// trailing newline): the server and client declarations of the
+// embedding's points, arrows and drift events cannot drift apart.
+func requireWireParity(t *testing.T, what string, body []byte, dst any) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		t.Fatalf("%s: client decode: %v", what, err)
+	}
+	again, err := json.Marshal(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bytes.TrimSuffix(body, []byte("\n")); !bytes.Equal(again, want) {
+		t.Fatalf("%s: client re-encoding differs:\n got %s\nwant %s", what, again, want)
+	}
+}
+
+func TestClientServerWireParity(t *testing.T) {
+	c := corpusClient(t, Config{Jobs: 1})
+	ctx := context.Background()
+
+	body, _, err := c.MatchRaw(ctx, feitelson96Probe(t), coplotclient.MatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireWireParity(t, "match", body, &coplotclient.MatchResult{})
+
+	// Near-zero drift thresholds make every embedded append report
+	// drift, and an observation without jobs stays pending, so the
+	// snapshots carry each field the client declares.
+	opts := coplotclient.StreamOptions{DriftPos: 1e-9, DriftAngle: 1e-9}
+	chunks := map[string][][]byte{"idle": {nil}}
+	for i, seed := range []uint64{21, 22, 23} {
+		chunks[fmt.Sprintf("o%d", i)] = chunkedSWF(t, seed, 60, 3)
+	}
+	var seen coplotclient.StreamSnapshot
+	for _, obs := range []string{"idle", "o0", "o1", "o2"} {
+		for k, chunk := range chunks[obs] {
+			opts.Obs = obs
+			body, _, err := c.Do(ctx, http.MethodPost, "/v1/stream/w/append"+coplotclient.Query(opts), "text/plain", chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap coplotclient.StreamSnapshot
+			requireWireParity(t, fmt.Sprintf("append %s/%d", obs, k), body, &snap)
+			seen.Points = append(seen.Points, snap.Points...)
+			seen.Arrows = append(seen.Arrows, snap.Arrows...)
+			seen.Pending = append(seen.Pending, snap.Pending...)
+			seen.Drift = append(seen.Drift, snap.Drift...)
+		}
+	}
+	if len(seen.Points) == 0 || len(seen.Arrows) == 0 || len(seen.Pending) == 0 || len(seen.Drift) == 0 {
+		t.Fatalf("appends left a field unexercised: %d points, %d arrows, %d pending, %d drift",
+			len(seen.Points), len(seen.Arrows), len(seen.Pending), len(seen.Drift))
+	}
+	body, _, err = c.Do(ctx, http.MethodGet, "/v1/stream/w", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireWireParity(t, "get", body, &coplotclient.StreamSnapshot{})
+}

@@ -159,12 +159,12 @@ func TestLogEndpointsMatchCLIReports(t *testing.T) {
 
 func TestAnalyzeCSVMatchesCLIAtAnyJobs(t *testing.T) {
 	// The reference is what cmd/coplot prints for the same CSV: the
-	// shared parser plus core.Analyze at the CLI defaults (seed 7).
+	// shared parser plus core.AnalyzeContext at the CLI defaults (seed 7).
 	ds, err := ParseCSVDataset("body", strings.NewReader(testCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Analyze(ds, core.Options{MDS: mds.Options{Seed: 7, Par: par.NewBudget(1)}})
+	res, err := core.AnalyzeContext(context.Background(), ds, core.Options{MDS: mds.Options{Seed: 7, Par: par.NewBudget(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestAnalyzeMultipartSWF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Analyze(ds, core.Options{MDS: mds.Options{Seed: 7, Par: par.NewBudget(1)}})
+	res, err := core.AnalyzeContext(context.Background(), ds, core.Options{MDS: mds.Options{Seed: 7, Par: par.NewBudget(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,11 +219,11 @@ type Stream struct {
 	z       *mat.Matrix // normalized values, rows in rows order
 	d       *mat.Matrix // incrementally maintained city-block matrix
 
-	prev       *mat.Matrix // previous embedding (warm-start seed)
-	prevRows   int         // observation count prev was solved over
-	prevAlien  float64     // alienation of the last accepted solve
-	prevArrows []core.Arrow
-	anchor     *mat.Matrix // last cold configuration (trust-region center)
+	// prev is the last accepted embedding, gauged: the warm-start seed
+	// and the drift reference. Its Fit.Config is nil before the first
+	// embedding and after a degenerate append.
+	prev   core.Embedding
+	anchor *mat.Matrix // last cold configuration (trust-region center)
 
 	// landmarkSet pins the landmark sample of the last cold solve
 	// (when Config.Landmarks is active) so later re-anchors over the
@@ -306,17 +306,6 @@ type Point struct {
 	Jobs int `json:"jobs"`
 }
 
-// VarArrow is one variable arrow of a snapshot.
-type VarArrow struct {
-	// Name is the variable code.
-	Name string `json:"name"`
-	// DX, DY form the unit direction of maximal correlation.
-	DX float64 `json:"dx"`
-	DY float64 `json:"dy"`
-	// Corr is the correlation achieved along it.
-	Corr float64 `json:"corr"`
-}
-
 // Snapshot is the state of a stream after one append: the live
 // embedding (when available) plus the drift events the append
 // triggered. Snapshots are immutable once published.
@@ -352,7 +341,7 @@ type Snapshot struct {
 	// Points are the mapped observations, in append order.
 	Points []Point `json:"points,omitempty"`
 	// Arrows are the variable arrows, in Config.Variables order.
-	Arrows []VarArrow `json:"arrows,omitempty"`
+	Arrows []core.Arrow `json:"arrows,omitempty"`
 	// Pending names observations not yet embeddable, in append order.
 	Pending []string `json:"pending,omitempty"`
 	// Drift lists this append's threshold crossings: points first (in
@@ -566,21 +555,23 @@ func (s *Stream) embed(ctx context.Context, o *observation) *Snapshot {
 	if s.cfg.Landmarks > 0 && s.landmarkRows == n {
 		cold.LandmarkSet = s.landmarkSet
 	}
-	var fit mds.Result
+	var emb core.Embedding
 	var err error
 	warm := false
 	reanchor := "first"
+	prev := s.prev.Fit.Config
 	switch {
-	case s.prev == nil:
-	case s.prevRows != n:
+	case prev == nil:
+	case prev.Rows != n:
 		reanchor = "set-changed"
 	default:
 		wopts := cold
-		wopts.InitialConfig = s.prev
+		wopts.InitialConfig = prev
 		wopts.Restarts = -1
 		wopts.MaxIter = s.cfg.WarmMaxIter
 		wopts.Tol = s.cfg.WarmTol
-		wfit, werr := mds.SSAContext(ctx, s.d, wopts)
+		wemb, werr := core.Embed(ctx, s.cfg.Variables, s.z, s.d, wopts)
+		wfit := wemb.Fit
 		if werr == nil {
 			// Canonicalize the gauge before judging the solve: solver
 			// output keeps whatever scale its seed implied, and the
@@ -595,36 +586,37 @@ func (s *Stream) embed(ctx context.Context, o *observation) *Snapshot {
 			// the latter used to masquerade as convergence and let a
 			// degrading warm solve through this gate.
 			reanchor = "no-converge"
-		case wfit.Alienation > s.prevAlien+s.cfg.ReanchorMargin:
+		case wfit.Alienation > s.prev.Fit.Alienation+s.cfg.ReanchorMargin:
 			reanchor = "fit-degraded"
 		case !s.insideTrustRegion(wfit.Config):
 			reanchor = "basin-shift"
 		default:
-			fit, warm = wfit, true
+			emb, warm = wemb, true
 		}
 	}
 	if !warm {
-		fit, err = mds.SSAContext(ctx, s.d, cold)
+		emb, err = core.Embed(ctx, s.cfg.Variables, s.z, s.d, cold)
 		if err != nil {
 			// Degenerate data (constant dissimilarities early in a
 			// stream's life) is a state, not a failure: the append stands
 			// and the embedding resumes once the data diversifies.
 			snap.Status = StatusDegenerate
 			snap.Error = err.Error()
-			s.prev, s.prevRows, s.prevArrows, s.anchor = nil, 0, nil, nil
+			s.prev, s.anchor = core.Embedding{}, nil
 			s.landmarkSet, s.landmarkRows = nil, 0
 			return snap
 		}
-		mds.ScaleToDissim(fit.Config, s.d)
-		s.anchor = fit.Config
+		mds.ScaleToDissim(emb.Fit.Config, s.d)
+		s.anchor = emb.Fit.Config
 		// Pin (or refresh) the landmark frame this cold solve used, so
 		// the next re-anchor at the same observation set keeps it.
-		s.landmarkSet, s.landmarkRows = fit.Landmarks, 0
-		if fit.Landmarks != nil {
+		s.landmarkSet, s.landmarkRows = emb.Fit.Landmarks, 0
+		if emb.Fit.Landmarks != nil {
 			s.landmarkRows = n
 		}
 	}
 
+	fit := emb.Fit
 	snap.Status = StatusOK
 	snap.Warm = warm
 	if !warm {
@@ -638,14 +630,11 @@ func (s *Stream) embed(ctx context.Context, o *observation) *Snapshot {
 			Name: ob.name, X: fit.Config.At(i, 0), Y: fit.Config.At(i, 1), Jobs: len(ob.jobs),
 		})
 	}
-	arrows := core.FitArrows(s.cfg.Variables, s.z, fit.Config)
-	for _, a := range arrows {
-		snap.Arrows = append(snap.Arrows, VarArrow{Name: a.Name, DX: a.DX, DY: a.DY, Corr: a.Corr})
+	snap.Arrows = emb.Arrows
+	if prev != nil && prev.Rows == n {
+		snap.Drift = s.drift(emb)
 	}
-	if s.prev != nil && s.prevRows == n {
-		snap.Drift = s.drift(fit.Config, arrows)
-	}
-	s.prev, s.prevRows, s.prevAlien, s.prevArrows = fit.Config, n, fit.Alienation, arrows
+	s.prev = emb
 	return snap
 }
 
@@ -673,16 +662,17 @@ func (s *Stream) insideTrustRegion(config *mat.Matrix) bool {
 // previous RMS radius, and arrow-angle deltas beyond DriftAngle.
 // Events come back points first in row order, then arrows in variable
 // order — a fixed order, so snapshot bytes stay deterministic.
-func (s *Stream) drift(config *mat.Matrix, arrows []core.Arrow) []DriftEvent {
+func (s *Stream) drift(next core.Embedding) []DriftEvent {
 	var events []DriftEvent
+	prev := s.prev.Fit.Config
 	if s.cfg.DriftPos > 0 {
-		aligned, _, err := mds.Align(s.prev, config)
+		aligned, _, err := mds.Align(prev, next.Fit.Config)
 		if err == nil {
-			scale := mds.RMSRadius(s.prev)
+			scale := mds.RMSRadius(prev)
 			if scale > 0 {
 				for i, ob := range s.rows {
-					dx := aligned.At(i, 0) - s.prev.At(i, 0)
-					dy := aligned.At(i, 1) - s.prev.At(i, 1)
+					dx := aligned.At(i, 0) - prev.At(i, 0)
+					dy := aligned.At(i, 1) - prev.At(i, 1)
 					if rel := math.Hypot(dx, dy) / scale; rel > s.cfg.DriftPos {
 						events = append(events, DriftEvent{
 							Kind: DriftPosition, Name: ob.name,
@@ -694,11 +684,11 @@ func (s *Stream) drift(config *mat.Matrix, arrows []core.Arrow) []DriftEvent {
 		}
 	}
 	if s.cfg.DriftAngle > 0 {
-		for k, a := range arrows {
-			if k >= len(s.prevArrows) {
+		for k, a := range next.Arrows {
+			if k >= len(s.prev.Arrows) {
 				break
 			}
-			pa := s.prevArrows[k]
+			pa := s.prev.Arrows[k]
 			// A zero arrow (degenerate fit) has no direction to compare.
 			if (a.DX == 0 && a.DY == 0) || (pa.DX == 0 && pa.DY == 0) {
 				continue

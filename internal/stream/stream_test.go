@@ -104,8 +104,8 @@ func batchEmbed(t testing.TB, fixtures []fixture, seed uint64) (mds.Result, *mat
 	}
 	ds := &core.Dataset{Observations: tab.Observations, Variables: tab.Codes, X: tab.Data}
 	z := core.Normalize(ds)
-	d := core.CityBlock(z)
-	fit, err := mds.SSA(d, mds.Options{Seed: seed})
+	d := core.CityBlockWith(z, nil)
+	fit, err := mds.SSAContext(context.Background(), d, mds.Options{Seed: seed})
 	if err != nil {
 		t.Fatalf("batch SSA: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestEquivalenceAcrossChunkings(t *testing.T) {
 	// Total iterations of the batch cold solve across all its starts,
 	// via the solver's Trace hook: the bar warm updates must beat.
 	coldIters := 0
-	if _, err := mds.SSA(batchD, mds.Options{Seed: seed, Trace: func(start, iter int, stress float64) {
+	if _, err := mds.SSAContext(context.Background(), batchD, mds.Options{Seed: seed, Trace: func(start, iter int, stress float64) {
 		coldIters++
 	}}); err != nil {
 		t.Fatalf("traced cold SSA: %v", err)
@@ -271,7 +271,7 @@ func TestSteadyStateWarmDominance(t *testing.T) {
 	const seed = 42
 	_, batchD := batchEmbed(t, fixtures, seed)
 	coldIters := 0
-	if _, err := mds.SSA(batchD, mds.Options{Seed: seed, Trace: func(start, iter int, stress float64) {
+	if _, err := mds.SSAContext(context.Background(), batchD, mds.Options{Seed: seed, Trace: func(start, iter int, stress float64) {
 		coldIters++
 	}}); err != nil {
 		t.Fatalf("traced cold SSA: %v", err)

@@ -105,8 +105,10 @@ type MatchPoint struct {
 	Y    float64 `json:"y"`
 }
 
-// MatchArrow is one variable arrow of the joint embedding.
-type MatchArrow struct {
+// Arrow is one variable arrow of an embedding (a match result's or a
+// stream snapshot's): the unit direction of maximal correlation and the
+// correlation achieved along it.
+type Arrow struct {
 	Name string  `json:"name"`
 	DX   float64 `json:"dx"`
 	DY   float64 `json:"dy"`
@@ -122,7 +124,7 @@ type MatchResult struct {
 	Stress     float64      `json:"stress"`
 	Neighbors  []Neighbor   `json:"neighbors"`
 	Points     []MatchPoint `json:"points"`
-	Arrows     []MatchArrow `json:"arrows"`
+	Arrows     []Arrow      `json:"arrows"`
 }
 
 // Match uploads one SWF trace and ranks the corpus against it in a

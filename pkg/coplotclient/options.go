@@ -14,7 +14,8 @@ package coplotclient
 //   - doc: what the option does.
 //
 // A nested struct field without a query tag (MachineOptions) declares
-// its own fields in place. Zero values mean the server defaults. The
+// its own fields in place. Integer options are counts, and the server
+// refuses a negative one. Zero values mean the server defaults. The
 // structs whose routes accept a zero that differs from its default
 // (seed=0, landmarks=0, drift-pos=0) also carry an Explicit list naming
 // options to send even at their zero value.
@@ -227,8 +228,8 @@ type StreamOptions struct {
 	Obs        string `query:"obs" default:"log" doc:"observation the chunk folds into"`
 	Seed       uint64 `query:"seed" default:"7" doc:"embedding solver seed (pinned at stream creation)"`
 	Machine    MachineOptions
-	DriftPos   float64 `query:"drift-pos" default:"server -drift-pos" doc:"positional drift threshold"`
-	DriftAngle float64 `query:"drift-angle" default:"server -drift-angle" doc:"arrow drift threshold (radians)"`
+	DriftPos   float64 `query:"drift-pos" default:"server -drift-pos" doc:"positional drift threshold, a fraction of the map's RMS radius (negative disables position drift)"`
+	DriftAngle float64 `query:"drift-angle" default:"server -drift-angle" doc:"arrow drift threshold in radians (negative disables arrow drift)"`
 	Landmarks  int     `query:"landmarks" default:"server -landmarks" doc:"landmark-MDS threshold"`
 	// Explicit names options sent even at their zero value.
 	Explicit []string

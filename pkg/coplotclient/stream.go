@@ -18,14 +18,6 @@ type StreamPoint struct {
 	Jobs int     `json:"jobs"`
 }
 
-// StreamArrow is one variable arrow of a snapshot's embedding.
-type StreamArrow struct {
-	Name string  `json:"name"`
-	DX   float64 `json:"dx"`
-	DY   float64 `json:"dy"`
-	Corr float64 `json:"corr"`
-}
-
 // StreamDrift is one drift threshold crossing of a snapshot.
 type StreamDrift struct {
 	Kind      string  `json:"kind"`
@@ -49,7 +41,7 @@ type StreamSnapshot struct {
 	Alienation   float64       `json:"alienation,omitempty"`
 	Stress       float64       `json:"stress,omitempty"`
 	Points       []StreamPoint `json:"points,omitempty"`
-	Arrows       []StreamArrow `json:"arrows,omitempty"`
+	Arrows       []Arrow       `json:"arrows,omitempty"`
 	Pending      []string      `json:"pending,omitempty"`
 	Drift        []StreamDrift `json:"drift,omitempty"`
 }
