@@ -437,6 +437,25 @@ func TestBadInputsReturn400(t *testing.T) {
 	}
 }
 
+// TestOverLongLineNamesLine: an SWF line over the parser's 1 MiB limit
+// is the client's fault, so /v1/variables answers the 400 envelope, and
+// its message locates the line.
+func TestOverLongLineNamesLine(t *testing.T) {
+	svc := mustNew(t, Config{Jobs: 1})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	body := "1 0 0 10 4 -1 -1 4 -1 -1 1 1 1 1 1 -1 -1 -1\n" + strings.Repeat("9", 1<<20) + "\n"
+	resp, data := post(t, ts, "/v1/variables", []byte(body))
+	var env struct{ Error apiError }
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatalf("status %d, body %.200s: %v", resp.StatusCode, data, err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != CodeBadRequest ||
+		env.Error.Message != "swf: line 2: bufio.Scanner: token too long" {
+		t.Fatalf("status %d, error %+v; want 400 bad_request naming line 2", resp.StatusCode, env.Error)
+	}
+}
+
 func TestCacheEvictionRecomputes(t *testing.T) {
 	// With a 1-byte cap every response is over the limit: it is evicted
 	// as soon as it is inserted, so a repeated request recomputes (miss)

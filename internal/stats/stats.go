@@ -11,6 +11,8 @@ package stats
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -59,15 +61,15 @@ func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Quantile returns the p-quantile (0 <= p <= 1) of xs using the same
 // linear-interpolation rule as R's default type-7 estimator. The input
-// need not be sorted. It returns NaN for empty input or p outside [0,1].
+// need not be sorted and is left unchanged. It returns NaN for empty
+// input or p outside [0,1].
 func Quantile(xs []float64, p float64) float64 {
 	if len(xs) == 0 || p < 0 || p > 1 {
 		return math.NaN()
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, p)
+	a := append([]float64(nil), xs...)
+	selectQuantiles(a, p)
+	return quantileSorted(a, p)
 }
 
 // QuantileSorted is Quantile for input already sorted ascending; it avoids
@@ -103,10 +105,9 @@ func Interval90(xs []float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, 0.95) - quantileSorted(sorted, 0.05)
+	a := append([]float64(nil), xs...)
+	selectQuantiles(a, 0.05, 0.95)
+	return quantileSorted(a, 0.95) - quantileSorted(a, 0.05)
 }
 
 // Interval50 returns the interquartile-style 50% interval (75th minus 25th
@@ -116,24 +117,128 @@ func Interval50(xs []float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, 0.75) - quantileSorted(sorted, 0.25)
+	a := append([]float64(nil), xs...)
+	selectQuantiles(a, 0.25, 0.75)
+	return quantileSorted(a, 0.75) - quantileSorted(a, 0.25)
 }
 
 // MedianAndInterval returns the median together with the q-interval
-// (difference between the (0.5+q/2) and (0.5-q/2) quantiles) in one sort.
+// (difference between the (0.5+q/2) and (0.5-q/2) quantiles) of xs,
+// which it leaves unchanged.
 func MedianAndInterval(xs []float64, q float64) (median, interval float64) {
 	if len(xs) == 0 {
 		return math.NaN(), math.NaN()
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	median = quantileSorted(sorted, 0.5)
-	interval = quantileSorted(sorted, 0.5+q/2) - quantileSorted(sorted, 0.5-q/2)
+	a := append([]float64(nil), xs...)
+	lo, hi := 0.5-q/2, 0.5+q/2
+	selectQuantiles(a, lo, 0.5, hi)
+	median = quantileSorted(a, 0.5)
+	interval = quantileSorted(a, hi) - quantileSorted(a, lo)
 	return median, interval
+}
+
+// selectQuantiles reorders a so that every position quantileSorted reads
+// for the given p holds the value it would hold were a sorted by
+// sort.Float64s, which puts NaNs first. Only those few order statistics
+// are placed, by selection, which costs O(n) per position where a sort
+// costs O(n log n). Values equal in that order, such as -0 and +0 or two
+// NaNs, may trade places, as they may under the sort.
+func selectQuantiles(a []float64, ps ...float64) {
+	n := len(a)
+	if n < 2 {
+		return
+	}
+	var ranks [6]int // ps holds at most three quantiles
+	k := 0
+	for _, p := range ps {
+		h := p * float64(n-1)
+		lo := int(math.Floor(h))
+		if lo+1 >= n {
+			ranks[k] = n - 1
+			k++
+			continue
+		}
+		ranks[k], ranks[k+1] = lo, lo+1
+		k += 2
+	}
+	// NaNs go to the front, as the sort puts them; the rest is selected
+	// with plain comparisons.
+	nan := 0
+	for i, x := range a {
+		if math.IsNaN(x) {
+			a[nan], a[i] = x, a[nan]
+			nan++
+		}
+	}
+	slices.Sort(ranks[:k])
+	from := nan
+	for _, r := range ranks[:k] {
+		if r < from || r >= n {
+			continue // placed already, or out of range for quantileSorted to report
+		}
+		selectNth(a[from:], r-from, 2*bits.Len(uint(n-from)))
+		from = r + 1
+	}
+}
+
+// selectNth reorders a, which holds no NaN, so that a[k] is the value
+// sort.Float64s would put there, with nothing after it less and nothing
+// before it greater. It partitions around a median of three, as
+// Numerical Recipes' select does. After budget partitions the range left
+// is sorted outright, so a budget of O(log n) bounds the worst case at
+// O(n log n).
+func selectNth(a []float64, k, budget int) {
+	l, r := 0, len(a)-1
+	if k == 0 { // the minimum, as for the rank after one just placed
+		m := 0
+		for i := 1; i <= r; i++ {
+			if a[i] < a[m] {
+				m = i
+			}
+		}
+		a[0], a[m] = a[m], a[0]
+		return
+	}
+	for r-l > 1 {
+		if budget == 0 {
+			sort.Float64s(a[l : r+1])
+			return
+		}
+		budget--
+		mid := int(uint(l+r) >> 1)
+		a[mid], a[l+1] = a[l+1], a[mid]
+		if a[r] < a[l] {
+			a[l], a[r] = a[r], a[l]
+		}
+		if a[r] < a[l+1] {
+			a[l+1], a[r] = a[r], a[l+1]
+		}
+		if a[l+1] < a[l] {
+			a[l], a[l+1] = a[l+1], a[l]
+		}
+		// a[l] <= pivot <= a[r] bound both scans.
+		i, j, pivot := l+1, r, a[l+1]
+		for {
+			for i++; a[i] < pivot; i++ {
+			}
+			for j--; pivot < a[j]; j-- {
+			}
+			if j < i {
+				break
+			}
+			a[i], a[j] = a[j], a[i]
+		}
+		a[l+1], a[j] = a[j], pivot
+		if j >= k {
+			r = j - 1
+		}
+		if j <= k {
+			l = i
+		}
+	}
+	if r == l+1 && a[r] < a[l] {
+		a[l], a[r] = a[r], a[l]
+	}
 }
 
 // Normalize returns (xs - mean)/stddev, the z-scores of equation (1) in

@@ -72,6 +72,107 @@ func TestQuantileUnsortedInputUnchanged(t *testing.T) {
 	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
 		t.Fatal("Quantile mutated its input")
 	}
+	ys := []float64{9, 2, 7, 2, 0, 4, 11, 3, 8, 1, 6, 5, 10, 2, 4, 12, 0, 7, 3, 1, 9}
+	orig := append([]float64(nil), ys...)
+	MedianAndInterval(ys, 0.9)
+	for i := range ys {
+		if ys[i] != orig[i] {
+			t.Fatalf("MedianAndInterval mutated its input at %d: %v", i, ys)
+		}
+	}
+}
+
+// sortedQuantile is the sort-based reference the selection must match:
+// sort a copy as sort.Float64s does, then read the type-7 quantile.
+func sortedQuantile(xs []float64, p float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return QuantileSorted(s, p)
+}
+
+// tiedSample draws n values with heavy ties from a pool of few values,
+// arranged in one of several orders. Zeros are all +0: -0 and +0 tie
+// under sort.Float64s, which leaves their order, and so the sign of a
+// zero order statistic, to the input's arrangement.
+func tiedSample(r *rng.Source, n, shape int) []float64 {
+	pool := []float64{-7.5, -1, 0, 0.25, 1, 3, 3e9, 42}
+	switch shape % 4 {
+	case 1:
+		pool = append(pool, math.Inf(1), math.Inf(-1))
+	case 2:
+		pool = append(pool, math.NaN())
+	}
+	distinct := 1 + r.Intn(len(pool))
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = pool[r.Intn(distinct)]
+	}
+	switch shape % 3 {
+	case 1:
+		sort.Float64s(xs)
+	case 2:
+		sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
+	}
+	return xs
+}
+
+// TestSelectionMatchesSort: the selection-based statistics return the
+// bits a full sort returns, over random inputs with heavy ties, ±Inf and
+// NaNs, in random, ascending and descending order.
+func TestSelectionMatchesSort(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	r := rng.New(14)
+	for _, n := range []int{1, 2, 3, 17, 2000, 2001} {
+		for shape := 0; shape < 12; shape++ {
+			xs := tiedSample(r, n, shape)
+			for _, p := range []float64{0, 0.05, 0.5, 0.95, 1} {
+				if got, want := Quantile(xs, p), sortedQuantile(xs, p); !same(got, want) {
+					t.Fatalf("n=%d shape=%d: Quantile(%v) = %v, sort gives %v", n, shape, p, got, want)
+				}
+			}
+			for _, q := range []float64{0, 0.05, 0.5, 0.9, 0.95, 1} {
+				m, iv := MedianAndInterval(xs, q)
+				wantIv := sortedQuantile(xs, 0.5+q/2) - sortedQuantile(xs, 0.5-q/2)
+				if !same(m, sortedQuantile(xs, 0.5)) || !same(iv, wantIv) {
+					t.Fatalf("n=%d shape=%d q=%v: MedianAndInterval = %v, %v; sort gives %v, %v",
+						n, shape, q, m, iv, sortedQuantile(xs, 0.5), wantIv)
+				}
+			}
+			if got, want := Interval90(xs), sortedQuantile(xs, 0.95)-sortedQuantile(xs, 0.05); !same(got, want) {
+				t.Fatalf("n=%d shape=%d: Interval90 = %v, sort gives %v", n, shape, got, want)
+			}
+			if got, want := Interval50(xs), sortedQuantile(xs, 0.75)-sortedQuantile(xs, 0.25); !same(got, want) {
+				t.Fatalf("n=%d shape=%d: Interval50 = %v, sort gives %v", n, shape, got, want)
+			}
+		}
+	}
+}
+
+// TestSelectNthAnyBudget: selectNth places the k-th order statistic and
+// partitions around it whether it selects to the end or exhausts its
+// partition budget at once and falls back to sorting.
+func TestSelectNthAnyBudget(t *testing.T) {
+	r := rng.New(3)
+	for _, budget := range []int{0, 1, 2, 64} {
+		for _, n := range []int{1, 2, 3, 17, 200} {
+			// Shapes without NaNs, which selectNth's callers remove.
+			xs := tiedSample(r, n, []int{0, 1, 4, 5, 8, 9}[r.Intn(6)])
+			want := append([]float64(nil), xs...)
+			sort.Float64s(want)
+			for _, k := range []int{0, n / 3, n / 2, n - 1} {
+				a := append([]float64(nil), xs...)
+				selectNth(a, k, budget)
+				if math.Float64bits(a[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("budget %d n=%d k=%d: a[k] = %v, want %v", budget, n, k, a[k], want[k])
+				}
+				for i := range a {
+					if i < k && a[k] < a[i] || i > k && a[i] < a[k] {
+						t.Fatalf("budget %d n=%d k=%d: a[%d] = %v on the wrong side of %v", budget, n, k, i, a[i], a[k])
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestQuantileMonotoneProperty(t *testing.T) {

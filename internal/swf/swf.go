@@ -11,12 +11,15 @@ package swf
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Job statuses used by the SWF status field.
@@ -97,7 +100,8 @@ func (l *Log) Duration() float64 {
 	}
 	first := l.Jobs[0].Submit
 	last := first
-	for _, j := range l.Jobs {
+	for i := range l.Jobs {
+		j := &l.Jobs[i]
 		if j.Submit < first {
 			first = j.Submit
 		}
@@ -200,25 +204,36 @@ func num(f float64) string {
 }
 
 // Parse reads an SWF log. Malformed lines produce an error naming the
-// line number; short lines (fewer than 18 fields) are rejected.
+// line number; short lines (fewer than 18 fields) are rejected. A line
+// longer than 1 MiB fails with an error that names it and wraps
+// bufio.ErrTooLong.
+//
+// Fields are split in place in the scanner's buffer, on the white space
+// strings.Fields splits on (ASCII inline, anything else decoded as UTF-8
+// and tested with unicode.IsSpace). Integer fields go through
+// strconv.Atoi. A float field of an optional '-' and at most 15 digits
+// is converted directly, since strconv.ParseFloat would return the same
+// value exactly; every other float field goes through ParseFloat. Values
+// and error messages are therefore those of strconv.
 func Parse(r io.Reader) (*Log, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, maxLine)
 	log := &Log{}
+	var fields [18][]byte
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := sc.Bytes()
+		nf, start := splitFields(line, &fields)
+		if nf == 0 {
 			continue
 		}
-		if strings.HasPrefix(line, ";") {
-			log.Header = append(log.Header, strings.TrimSpace(strings.TrimPrefix(line, ";")))
+		if line[start] == ';' {
+			log.Header = append(log.Header, string(bytes.TrimSpace(line[start+1:])))
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 18 {
-			return nil, fmt.Errorf("swf: line %d has %d fields, want 18", lineNo, len(fields))
+		if nf < len(fields) {
+			return nil, fmt.Errorf("swf: line %d has %d fields, want 18", lineNo, nf)
 		}
 		var j Job
 		var err error
@@ -226,7 +241,7 @@ func Parse(r io.Reader) (*Log, error) {
 			if err != nil {
 				return 0
 			}
-			v, e := strconv.Atoi(fields[idx])
+			v, e := strconv.Atoi(string(fields[idx]))
 			if e != nil {
 				err = fmt.Errorf("swf: line %d field %d: %v", lineNo, idx+1, e)
 			}
@@ -236,7 +251,11 @@ func Parse(r io.Reader) (*Log, error) {
 			if err != nil {
 				return 0
 			}
-			v, e := strconv.ParseFloat(fields[idx], 64)
+			tok := fields[idx]
+			if f, ok := exactInt(tok); ok {
+				return f
+			}
+			v, e := strconv.ParseFloat(string(tok), 64)
 			switch {
 			case e != nil:
 				err = fmt.Errorf("swf: line %d field %d: %v", lineNo, idx+1, e)
@@ -244,7 +263,7 @@ func Parse(r io.Reader) (*Log, error) {
 				// ParseFloat accepts "NaN" and "Inf"; a log carrying them
 				// would poison every downstream statistic, so reject the
 				// line instead of propagating non-finite values.
-				err = fmt.Errorf("swf: line %d field %d: non-finite value %q", lineNo, idx+1, fields[idx])
+				err = fmt.Errorf("swf: line %d field %d: non-finite value %q", lineNo, idx+1, tok)
 			}
 			return v
 		}
@@ -272,9 +291,83 @@ func Parse(r io.Reader) (*Log, error) {
 		log.Jobs = append(log.Jobs, j)
 	}
 	if err := sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, fmt.Errorf("swf: line %d: %w", lineNo+1, err)
+		}
 		return nil, err
 	}
 	return log, nil
+}
+
+// maxLine is the longest line Parse accepts. The scanner's buffer grows
+// to it only when a line needs it.
+const maxLine = 1 << 20
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields stores the first len(dst) white-space-separated fields of
+// line in dst, as slices of line, and returns how many it stored and
+// the offset of the first. It splits where strings.Fields does.
+func splitFields(line []byte, dst *[18][]byte) (n, start int) {
+	from := -1 // start of the field being scanned, or -1 between fields
+	for i := 0; i < len(line); {
+		c, w := line[i], 1
+		var space bool
+		if c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			var r rune
+			r, w = utf8.DecodeRune(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		switch {
+		case space && from >= 0:
+			dst[n] = line[from:i]
+			n++
+			from = -1
+			if n == len(dst) {
+				return n, start
+			}
+		case !space && from < 0:
+			from = i
+			if n == 0 {
+				start = i
+			}
+		}
+		i += w
+	}
+	if from >= 0 {
+		dst[n] = line[from:]
+		n++
+	}
+	return n, start
+}
+
+// exactInt reads tok as an optional '-' and 1 to 15 decimal digits, the
+// shape of most SWF fields. Such a value is exact as a float64, so it
+// equals what strconv.ParseFloat would return, "-0" a negative zero
+// included; ok is false for any other token.
+func exactInt(tok []byte) (f float64, ok bool) {
+	neg := len(tok) > 0 && tok[0] == '-'
+	if neg {
+		tok = tok[1:]
+	}
+	if len(tok) == 0 || len(tok) > 15 {
+		return 0, false
+	}
+	var v int64
+	for _, c := range tok {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int64(c-'0')
+	}
+	f = float64(v)
+	if neg {
+		f = -f
+	}
+	return f, true
 }
 
 // InterArrivals returns the deltas between consecutive submit times of the
@@ -286,8 +379,8 @@ func (l *Log) InterArrivals() []float64 {
 		return nil
 	}
 	submits := make([]float64, len(l.Jobs))
-	for i, j := range l.Jobs {
-		submits[i] = j.Submit
+	for i := range l.Jobs {
+		submits[i] = l.Jobs[i].Submit
 	}
 	sort.Float64s(submits)
 	out := make([]float64, len(submits)-1)

@@ -1,7 +1,9 @@
 package swf
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -106,6 +108,26 @@ func TestParseRejectsGarbage(t *testing.T) {
 	line := "1 0 0 abc 4 -1 -1 4 -1 -1 1 1 1 1 1 -1 -1 -1\n"
 	if _, err := Parse(strings.NewReader(line)); err == nil {
 		t.Fatal("garbage field accepted")
+	}
+}
+
+// TestParseOverLongLine pins the 1 MiB line limit: 2^20-1 bytes and a
+// newline fill the scanner's buffer exactly and parse; one byte more
+// fails with an error naming the line that still matches
+// bufio.ErrTooLong.
+func TestParseOverLongLine(t *testing.T) {
+	job := "1 0 0 10 4 -1 -1 4 -1 -1 1 1 1 1 1 -1 -1 -1\n"
+	header := func(n int) string { return ";" + strings.Repeat("x", n-1) + "\n" }
+	l, err := Parse(strings.NewReader(job + header(1<<20-1) + job))
+	if err != nil || len(l.Jobs) != 2 || len(l.Header[0]) != 1<<20-2 {
+		t.Fatalf("line of 1 MiB - 1 bytes: err %v", err)
+	}
+	_, err = Parse(strings.NewReader(job + job + header(1<<20) + job))
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line of 1 MiB: err %v, want bufio.ErrTooLong", err)
+	}
+	if want := "swf: line 3: "; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("line of 1 MiB: err %q does not start with %q", err, want)
 	}
 }
 

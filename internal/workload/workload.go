@@ -14,6 +14,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"coplot/internal/machine"
 	"coplot/internal/stats"
@@ -105,13 +106,13 @@ func Compute(name string, log *swf.Log, m machine.Machine) (Variables, error) {
 	procs := make([]float64, 0, n)
 	normProcs := make([]float64, 0, n)
 	works := make([]float64, 0, n)
-	users := map[int]bool{}
-	execs := map[int]bool{}
-	haveExec := false
+	users := make([]int, 0, n)
+	execs := make([]int, 0, n)
 	completed, haveStatus := 0, 0
 	var runtimeWork, cpuWork float64
 	haveCPU := true
-	for _, j := range log.Jobs {
+	for i := range log.Jobs {
+		j := &log.Jobs[i]
 		if j.Runtime >= 0 {
 			runtimes = append(runtimes, j.Runtime)
 		}
@@ -134,10 +135,9 @@ func Compute(name string, log *swf.Log, m machine.Machine) (Variables, error) {
 				works = append(works, w)
 			}
 		}
-		users[j.User] = true
+		users = append(users, j.User)
 		if j.Executable >= 0 {
-			execs[j.Executable] = true
-			haveExec = true
+			execs = append(execs, j.Executable)
 		}
 		if j.Status >= 0 {
 			haveStatus++
@@ -162,12 +162,12 @@ func Compute(name string, log *swf.Log, m machine.Machine) (Variables, error) {
 		v.Values[VarCPULoad] = math.NaN()
 	}
 
-	if haveExec {
-		v.Values[VarNormExecutables] = float64(len(execs)) / float64(n)
+	if len(execs) > 0 {
+		v.Values[VarNormExecutables] = float64(distinct(execs)) / float64(n)
 	} else {
 		v.Values[VarNormExecutables] = math.NaN()
 	}
-	v.Values[VarNormUsers] = float64(len(users)) / float64(n)
+	v.Values[VarNormUsers] = float64(distinct(users)) / float64(n)
 	if haveStatus > 0 {
 		v.Values[VarCompleted] = float64(completed) / float64(haveStatus)
 	} else {
@@ -190,6 +190,12 @@ func Compute(name string, log *swf.Log, m machine.Machine) (Variables, error) {
 	setMI(VarWorkMedian, VarWorkInterval, works)
 	setMI(VarInterArrMedian, VarInterArrInterval, log.InterArrivals())
 	return v, nil
+}
+
+// distinct returns the number of distinct values in xs, which it sorts.
+func distinct(xs []int) int {
+	slices.Sort(xs)
+	return len(slices.Compact(xs))
 }
 
 // Table collects observation rows into the labeled matrix form consumed

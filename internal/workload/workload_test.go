@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"coplot/internal/machine"
+	"coplot/internal/models"
+	"coplot/internal/rng"
 	"coplot/internal/swf"
 )
 
@@ -194,5 +196,23 @@ func TestBuildTableAllMissing(t *testing.T) {
 func TestBuildTableEmptyRows(t *testing.T) {
 	if _, err := BuildTable(nil, []string{"X"}); err == nil {
 		t.Fatal("no observations accepted")
+	}
+}
+
+var computed Variables
+
+// BenchmarkCompute characterizes a 2000-job Lublin log, the size of one
+// analyze-archive input.
+func BenchmarkCompute(b *testing.B) {
+	log := models.NewLublin(128).Generate(rng.New(1), 2000)
+	m := testMachine()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := Compute("lublin", log, m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		computed = v
 	}
 }
