@@ -434,6 +434,35 @@ func TestFitExtraVariable(t *testing.T) {
 	}
 }
 
+// TestFitExtraVariableConstantIsZeroArrow: a variable with one value
+// across the map carries no direction, so its arrow must be the zero
+// arrow on any configuration. A constant whose mean rounds away from
+// it used to normalize to a column of equal nonzero scores, and the
+// regression's rounding residue then fitted an arbitrary unit arrow.
+func TestFitExtraVariableConstantIsZeroArrow(t *testing.T) {
+	r := rng.New(5)
+	for trial := 0; trial < 200; trial++ {
+		n := 3 + r.Intn(12)
+		scale := math.Pow(10, float64(r.Intn(6))-2)
+		res := &Result{}
+		for i := 0; i < n; i++ {
+			res.Points = append(res.Points, Point{X: (3*r.Norm() + 1) * scale, Y: (r.Norm() - 2) * scale})
+		}
+		c := math.Round(1000*r.Float64()) / 100
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = c
+		}
+		a, err := res.FitExtraVariable("const", vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.DX != 0 || a.DY != 0 || a.Corr != 0 {
+			t.Fatalf("trial %d: constant %v over %d points: arrow %+v, want the zero arrow", trial, c, n, a)
+		}
+	}
+}
+
 func TestAnalyzeContextCancelled(t *testing.T) {
 	ds := syntheticDataset(20, 0.1, 5)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -242,11 +242,17 @@ func selectNth(a []float64, k, budget int) {
 }
 
 // Normalize returns (xs - mean)/stddev, the z-scores of equation (1) in
-// the paper. A zero-variance input yields all-zero scores rather than NaN,
+// the paper. A constant input yields all-zero scores rather than NaN,
 // matching the behaviour needed when a constant variable sneaks into an
-// analysis.
+// analysis. Constancy is tested on the values themselves: the mean of
+// equal values can round away from them (three 0.1s average to
+// 0.10000000000000002), and the resulting ~1e-17 standard deviation
+// would blow the rounding error up into scores of ±1.
 func Normalize(xs []float64) []float64 {
 	out := make([]float64, len(xs))
+	if !slices.ContainsFunc(xs, func(x float64) bool { return x != xs[0] }) {
+		return out
+	}
 	m := Mean(xs)
 	sd := StdDev(xs)
 	if sd == 0 || math.IsNaN(sd) {

@@ -245,6 +245,20 @@ func TestNormalizeConstant(t *testing.T) {
 	}
 }
 
+// TestNormalizeConstantRoundingMean is the regression test for a
+// constant column whose mean does not round back to its value: three
+// 0.1s average to 0.10000000000000002, and dividing the leftover by the
+// resulting ~1e-17 standard deviation used to score every entry −1.
+func TestNormalizeConstantRoundingMean(t *testing.T) {
+	for _, xs := range [][]float64{{0.1, 0.1, 0.1}, {-3.3, -3.3, -3.3}, {4, 4}} {
+		for i, v := range Normalize(xs) {
+			if v != 0 {
+				t.Fatalf("Normalize(%v)[%d] = %v, want 0", xs, i, v)
+			}
+		}
+	}
+}
+
 func TestPearsonPerfect(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{2, 4, 6, 8}

@@ -4,158 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"math"
 	"testing"
 
-	"coplot/internal/core"
-	"coplot/internal/mat"
 	"coplot/internal/models"
 	"coplot/internal/rng"
 )
-
-// batchMoments recomputes mean and sum of squared deviations the naive
-// two-pass way — the oracle the running accumulator must agree with.
-func batchMoments(xs []float64) (mean, sumsq float64) {
-	if len(xs) == 0 {
-		return math.NaN(), 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		d := x - mean
-		sumsq += d * d
-	}
-	return mean, sumsq
-}
-
-// closeRel checks relative agreement to 1e-12 (absolute near zero,
-// where relative error is meaningless).
-func closeRel(a, b float64) bool {
-	if math.IsNaN(a) && math.IsNaN(b) {
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale < 1 {
-		return diff <= 1e-12
-	}
-	return diff/scale <= 1e-12
-}
-
-// TestMomentsMatchBatchAcrossChunkSplits streams randomized value
-// sequences through Moments in randomized chunk splits — interleaving
-// adds, removes and replacements — and holds the running mean and
-// variance to 1e-12 agreement with a batch recompute after every
-// chunk. The magnitudes span the scales Table-1 variables actually
-// take (loads near 1e-2, work sums near 1e7), where a naive Σx²
-// accumulator loses exactly the digits this test demands.
-func TestMomentsMatchBatchAcrossChunkSplits(t *testing.T) {
-	r := rng.New(1234)
-	for trial := 0; trial < 50; trial++ {
-		scale := math.Pow(10, float64(r.Intn(10))-2) // 1e-2 .. 1e7
-		offset := scale * 100                        // large mean, small spread
-		var m Moments
-		var live []float64
-		steps := 20 + r.Intn(30)
-		for step := 0; step < steps; step++ {
-			// One chunk: a random mix of operations.
-			ops := 1 + r.Intn(10)
-			for k := 0; k < ops; k++ {
-				switch {
-				case len(live) > 0 && r.Float64() < 0.2: // remove
-					i := r.Intn(len(live))
-					m.Remove(live[i])
-					live = append(live[:i], live[i+1:]...)
-				case len(live) > 0 && r.Float64() < 0.3: // replace
-					i := r.Intn(len(live))
-					nv := offset + scale*r.Float64()
-					m.Replace(live[i], nv)
-					live[i] = nv
-				default: // add
-					v := offset + scale*r.Float64()
-					m.Add(v)
-					live = append(live, v)
-				}
-			}
-			wantMean, wantSS := batchMoments(live)
-			if m.Len() != len(live) {
-				t.Fatalf("trial %d step %d: Len %d, want %d", trial, step, m.Len(), len(live))
-			}
-			if !closeRel(m.Mean(), wantMean) {
-				t.Fatalf("trial %d step %d (scale %g): Mean %v, batch %v",
-					trial, step, scale, m.Mean(), wantMean)
-			}
-			if !closeRel(m.SumSq(), wantSS) {
-				t.Fatalf("trial %d step %d (scale %g): SumSq %v, batch %v",
-					trial, step, scale, m.SumSq(), wantSS)
-			}
-			if len(live) > 0 && !closeRel(m.Var(), wantSS/float64(len(live))) {
-				t.Fatalf("trial %d step %d: Var %v, batch %v",
-					trial, step, m.Var(), wantSS/float64(len(live)))
-			}
-		}
-	}
-}
-
-// TestUpdateRowsBitMatchesFullRecompute maintains a dissimilarity
-// matrix through randomized histories of row edits and growth and
-// demands bitwise equality with core.CityBlockWith's full recompute
-// at every step — the contract that lets the incremental path replace
-// the batch one without any tolerance at all.
-func TestUpdateRowsBitMatchesFullRecompute(t *testing.T) {
-	r := rng.New(99)
-	for trial := 0; trial < 30; trial++ {
-		p := 2 + r.Intn(8)
-		n := 3 + r.Intn(5)
-		z := mat.New(n, p)
-		for i := 0; i < n; i++ {
-			for j := 0; j < p; j++ {
-				z.Set(i, j, r.Norm())
-			}
-		}
-		d := core.CityBlockWith(z, nil)
-		for step := 0; step < 40; step++ {
-			if r.Float64() < 0.25 && z.Rows < 12 {
-				// Grow: new rows join with random values.
-				k := 1 + r.Intn(2)
-				nz := mat.New(z.Rows+k, p)
-				copy(nz.Data, z.Data)
-				var rows []int
-				for i := z.Rows; i < nz.Rows; i++ {
-					for j := 0; j < p; j++ {
-						nz.Set(i, j, r.Norm())
-					}
-					rows = append(rows, i)
-				}
-				z = nz
-				d = growSquare(d, k)
-				UpdateRows(d, z, rows)
-			} else {
-				// Edit a random subset of rows in place.
-				cnt := 1 + r.Intn(z.Rows)
-				var rows []int
-				for k := 0; k < cnt; k++ {
-					i := r.Intn(z.Rows)
-					z.Set(i, r.Intn(p), r.Norm())
-					rows = append(rows, i) // duplicates allowed
-				}
-				UpdateRows(d, z, rows)
-			}
-			want := core.CityBlockWith(z, nil)
-			if len(want.Data) != len(d.Data) {
-				t.Fatalf("trial %d step %d: size %d, want %d", trial, step, len(d.Data), len(want.Data))
-			}
-			for i := range want.Data {
-				if math.Float64bits(want.Data[i]) != math.Float64bits(d.Data[i]) {
-					t.Fatalf("trial %d step %d: cell %d incremental %v, batch %v",
-						trial, step, i, d.Data[i], want.Data[i])
-				}
-			}
-		}
-	}
-}
 
 // TestSnapshotJSONDeterministic replays one chunk sequence through two
 // fresh streams and requires byte-identical snapshot JSON at every

@@ -6,11 +6,10 @@
 //   - chunks of SWF records are appended atomically (a malformed chunk
 //     changes nothing) and only the touched observation's Table-1
 //     variables are recomputed;
-//   - per-variable z-normalization statistics are maintained as
-//     running moments (Moments) instead of per-update batch passes;
-//   - the city-block dissimilarity matrix is updated row-wise
-//     (UpdateRows): pairs between observations whose normalized rows
-//     did not change are never recomputed;
+//   - the normalized table and the city-block dissimilarities are
+//     rebuilt from every observation's variables with the batch
+//     pipeline (workload.BuildTable, core.Normalize,
+//     core.CityBlockWith), so a cold solve draws exactly the batch map;
 //   - the embedding is re-solved warm-started: the previous
 //     configuration seeds the next SSA/SMACOF descent
 //     (mds.Options.InitialConfig), so an update converges in a few
@@ -36,7 +35,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync"
 
 	"coplot/internal/core"
@@ -194,10 +195,9 @@ func (c Config) withDefaults() Config {
 type observation struct {
 	name string
 	jobs []swf.Job
-	// vals are the observation's variable values in Config.Variables
-	// order (NaN = missing); nil until the log supports a variable
-	// computation (≥ 1 job).
-	vals []float64
+	// vars is the observation's workload.Compute row over its whole
+	// log; unset until the log has a job.
+	vars workload.Variables
 	// row is the observation's index in the embedding matrices, −1
 	// while the observation is still pending.
 	row int
@@ -214,10 +214,9 @@ type Stream struct {
 	obsIdx  map[string]int
 
 	// Embedded state, covering observations with row ≥ 0 in row order.
-	rows    []*observation
-	moments []Moments   // one per variable, over non-missing values
-	z       *mat.Matrix // normalized values, rows in rows order
-	d       *mat.Matrix // incrementally maintained city-block matrix
+	rows []*observation
+	z    *mat.Matrix // normalized values, rows in rows order
+	d    *mat.Matrix // city-block dissimilarities of z
 
 	// prev is the last accepted embedding, gauged: the warm-start seed
 	// and the drift reference. Its Fit.Config is nil before the first
@@ -244,11 +243,7 @@ func New(cfg Config) (*Stream, error) {
 	if err := cfg.Machine.Validate(); err != nil {
 		return nil, err
 	}
-	return &Stream{
-		cfg:     cfg,
-		obsIdx:  map[string]int{},
-		moments: make([]Moments, len(cfg.Variables)),
-	}, nil
+	return &Stream{cfg: cfg, obsIdx: map[string]int{}}, nil
 }
 
 // Config returns the stream's effective configuration (defaults
@@ -419,8 +414,9 @@ func (s *Stream) Append(ctx context.Context, obsName string, chunk []byte) (*Sna
 	return snap, nil
 }
 
-// refreshObservation recomputes o's variable values from its
-// accumulated log and folds the changes into the running moments.
+// refreshObservation recomputes o's Table-1 row from its accumulated
+// log; an observation's first computable row gives it its place in
+// the embedding matrices.
 func (s *Stream) refreshObservation(o *observation) {
 	if len(o.jobs) == 0 {
 		return
@@ -431,79 +427,41 @@ func (s *Stream) refreshObservation(o *observation) {
 		// machine, both excluded above/at New; be safe anyway.
 		return
 	}
-	newVals := make([]float64, len(s.cfg.Variables))
-	for j, code := range s.cfg.Variables {
-		newVals[j] = v.Get(code)
-	}
-	if o.vals == nil {
-		for j, nv := range newVals {
-			if !math.IsNaN(nv) {
-				s.moments[j].Add(nv)
-			}
-		}
+	if o.row < 0 {
 		o.row = len(s.rows)
 		s.rows = append(s.rows, o)
-	} else {
-		for j, nv := range newVals {
-			ov := o.vals[j]
-			switch {
-			case math.IsNaN(ov) && !math.IsNaN(nv):
-				s.moments[j].Add(nv)
-			case !math.IsNaN(ov) && math.IsNaN(nv):
-				s.moments[j].Remove(ov)
-			case !math.IsNaN(ov) && !math.IsNaN(nv):
-				s.moments[j].Replace(ov, nv)
-			}
-		}
 	}
-	o.vals = newVals
+	o.vars = v
 }
 
-// normalize rebuilds the z matrix from the running moments and returns
-// the indices of rows whose normalized values changed bitwise — the
-// only rows whose dissimilarities need recomputation. Missing values
-// normalize to zero (the column-mean substitution of
-// workload.BuildTable), and the standard deviation divides the squared
-// deviations by the full row count for the same reason.
-func (s *Stream) normalize() (changed []int) {
-	n, p := len(s.rows), len(s.cfg.Variables)
-	if n == 0 {
-		return nil
+// normalize rebuilds z and d from the embedded observations' rows
+// with the batch pipeline — BuildTable's column-mean substitution,
+// core.Normalize, core.CityBlockWith — the sequence corpus.Match runs.
+// A variable missing from every observation, which BuildTable rejects,
+// is first given one constant value: a constant column normalizes to
+// zeros, so it adds nothing to d and fits a zero arrow.
+func (s *Stream) normalize() {
+	if len(s.rows) == 0 {
+		return
 	}
-	newZ := mat.New(n, p)
-	for j := 0; j < p; j++ {
-		mom := &s.moments[j]
-		var mu, sd float64
-		if mom.Len() > 0 && n > 0 {
-			mu = mom.Mean()
-			sd = math.Sqrt(mom.SumSq() / float64(n))
-		}
-		for i, o := range s.rows {
-			v := o.vals[j]
-			if sd > 0 && !math.IsNaN(v) {
-				newZ.Set(i, j, (v-mu)/sd)
-			}
+	rows := make([]workload.Variables, len(s.rows))
+	for i, o := range s.rows {
+		rows[i] = o.vars
+	}
+	for _, code := range s.cfg.Variables {
+		if !slices.ContainsFunc(rows, func(v workload.Variables) bool { return !math.IsNaN(v.Get(code)) }) {
+			vals := maps.Clone(rows[0].Values)
+			vals[code] = 0
+			rows[0].Values = vals
 		}
 	}
-	oldRows := 0
-	if s.z != nil {
-		oldRows = s.z.Rows
+	tab, err := workload.BuildTable(rows, s.cfg.Variables)
+	if err != nil {
+		// Unreachable: there is a row and every code has a value.
+		panic("stream: internal error: " + err.Error())
 	}
-	for i := 0; i < n; i++ {
-		if i >= oldRows {
-			changed = append(changed, i)
-			continue
-		}
-		for c := 0; c < p; c++ {
-			if newZ.At(i, c) != s.z.At(i, c) {
-				changed = append(changed, i)
-				break
-			}
-		}
-	}
-	s.d = growSquare(s.d, n-oldRows)
-	s.z = newZ
-	return changed
+	s.z = core.Normalize(&core.Dataset{Observations: tab.Observations, Variables: tab.Codes, X: tab.Data})
+	s.d = core.CityBlockWith(s.z, s.cfg.Par)
 }
 
 // embed refreshes the dissimilarities and the embedding after an
@@ -520,10 +478,7 @@ func (s *Stream) embed(ctx context.Context, o *observation) *Snapshot {
 		}
 	}
 
-	changed := s.normalize()
-	if len(changed) > 0 {
-		UpdateRows(s.d, s.z, changed)
-	}
+	s.normalize()
 
 	n := len(s.rows)
 	if n < 3 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"coplot/internal/core"
@@ -82,17 +83,21 @@ func chunked(lines [][]byte, k int) [][]byte {
 	return out
 }
 
-// batchEmbed runs the one-shot batch pipeline — workload.Compute rows,
-// BuildTable's mean substitution, core normalization, city-block
-// dissimilarities, cold multi-start SSA — over the corpus, the ground
-// truth the streamed embeddings must land on. It also returns the
-// batch dissimilarity matrix for the cold-iteration probe.
-func batchEmbed(t testing.TB, fixtures []fixture, seed uint64) (mds.Result, *mat.Matrix) {
+// batchMatrices runs the batch pipeline's first stages over the
+// corpus as a stream receives it — each log serialized and parsed back,
+// then workload.Compute rows, BuildTable's mean substitution, core
+// normalization and city-block dissimilarities — and returns the
+// variable codes, z and d.
+func batchMatrices(t testing.TB, fixtures []fixture) ([]string, *mat.Matrix, *mat.Matrix) {
 	t.Helper()
 	cfg := Config{}.withDefaults()
 	var rows []workload.Variables
 	for _, fx := range fixtures {
-		v, err := workload.Compute(fx.name, fx.log, cfg.Machine)
+		log, err := swf.Parse(bytes.NewReader(bytes.Join(jobLines(t, fx.log), nil)))
+		if err != nil {
+			t.Fatalf("swf.Parse(%s): %v", fx.name, err)
+		}
+		v, err := workload.Compute(fx.name, log, cfg.Machine)
 		if err != nil {
 			t.Fatalf("workload.Compute(%s): %v", fx.name, err)
 		}
@@ -102,9 +107,17 @@ func batchEmbed(t testing.TB, fixtures []fixture, seed uint64) (mds.Result, *mat
 	if err != nil {
 		t.Fatalf("BuildTable: %v", err)
 	}
-	ds := &core.Dataset{Observations: tab.Observations, Variables: tab.Codes, X: tab.Data}
-	z := core.Normalize(ds)
-	d := core.CityBlockWith(z, nil)
+	z := core.Normalize(&core.Dataset{Observations: tab.Observations, Variables: tab.Codes, X: tab.Data})
+	return tab.Codes, z, core.CityBlockWith(z, nil)
+}
+
+// batchEmbed runs the one-shot batch pipeline — batchMatrices, then a
+// cold multi-start SSA — over the corpus, the ground truth the streamed
+// embeddings must land on. It also returns the batch dissimilarity
+// matrix for the cold-iteration probe.
+func batchEmbed(t testing.TB, fixtures []fixture, seed uint64) (mds.Result, *mat.Matrix) {
+	t.Helper()
+	_, _, d := batchMatrices(t, fixtures)
 	fit, err := mds.SSAContext(context.Background(), d, mds.Options{Seed: seed})
 	if err != nil {
 		t.Fatalf("batch SSA: %v", err)
@@ -256,6 +269,46 @@ func TestEquivalenceAcrossChunkings(t *testing.T) {
 	}
 }
 
+// TestColdSnapshotMatchesBatch: a cold re-anchor is the batch map.
+// Replaying the corpus one whole log per append, the last append adds
+// an observation and so re-anchors cold; its snapshot must equal the
+// batch pipeline — BuildTable, Normalize, CityBlockWith, core.Embed,
+// mds.ScaleToDissim — over the same parsed logs, exactly in every
+// point and arrow.
+func TestColdSnapshotMatchesBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("equivalence corpus generation is slow")
+	}
+	fixtures := equivalenceCorpus(t)
+	const seed = 42
+	codes, z, d := batchMatrices(t, fixtures)
+	emb, err := core.Embed(context.Background(), codes, z, d, mds.Options{Seed: seed})
+	if err != nil {
+		t.Fatalf("batch Embed: %v", err)
+	}
+	mds.ScaleToDissim(emb.Fit.Config, d)
+
+	last, _ := streamed(t, fixtures, 1, seed)
+	if last.Status != StatusOK || last.Warm || last.Reanchor != "set-changed" {
+		t.Fatalf("final snapshot status %q warm %v reanchor %q, want a set-changed cold solve",
+			last.Status, last.Warm, last.Reanchor)
+	}
+	if len(last.Points) != emb.Fit.Config.Rows || len(last.Arrows) != len(emb.Arrows) {
+		t.Fatalf("snapshot has %d points, %d arrows; batch %d, %d",
+			len(last.Points), len(last.Arrows), emb.Fit.Config.Rows, len(emb.Arrows))
+	}
+	for i, p := range last.Points {
+		if x, y := emb.Fit.Config.At(i, 0), emb.Fit.Config.At(i, 1); p.X != x || p.Y != y {
+			t.Errorf("point %s = (%v, %v), batch (%v, %v)", p.Name, p.X, p.Y, x, y)
+		}
+	}
+	for k, a := range last.Arrows {
+		if a != emb.Arrows[k] {
+			t.Errorf("arrow %s = %+v, batch %+v", a.Name, a, emb.Arrows[k])
+		}
+	}
+}
+
 // TestSteadyStateWarmDominance is the warm path's speed contract in
 // the regime warm-starting exists for: a stream whose observation set
 // is stable and whose per-append statistics deltas are small (the tail
@@ -390,6 +443,55 @@ func TestPendingBelowThreeObservations(t *testing.T) {
 	}
 	if len(snap.Points) != 3 || len(snap.Arrows) == 0 {
 		t.Fatalf("got %d points, %d arrows", len(snap.Points), len(snap.Arrows))
+	}
+}
+
+// TestAllMissingVariableIsZeroArrow streams single-job logs, which have
+// no inter-arrival times, so the inter-arrival variables are missing
+// from every observation. The stream must still embed, give those
+// variables the zero arrow, and never report them as drifting.
+func TestAllMissingVariableIsZeroArrow(t *testing.T) {
+	s, err := New(Config{Name: "single"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing := []string{workload.VarInterArrMedian, workload.VarInterArrInterval}
+	var snaps []*Snapshot
+	for i, lg := range []*swf.Log{
+		models.NewFeitelson96(128).Generate(rng.New(41), 5),
+		models.NewDowney(128).Generate(rng.New(42), 5),
+		models.NewJann(128).Generate(rng.New(43), 5),
+		models.NewLublin(128).Generate(rng.New(44), 5),
+	} {
+		snap, err := s.Append(context.Background(), fmt.Sprintf("o%d", i), jobLines(t, lg)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snap)
+	}
+	// Empty chunks leave the observation set and the data as they are,
+	// so the stream compares each new map with the previous one.
+	for i := 0; i < 3; i++ {
+		snap, err := s.Append(context.Background(), "o0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snap)
+	}
+	for _, snap := range snaps[2:] {
+		if snap.Status != StatusOK {
+			t.Fatalf("version %d: status %q (%s), want ok", snap.Version, snap.Status, snap.Error)
+		}
+		for _, a := range snap.Arrows {
+			if slices.Contains(missing, a.Name) && (a.DX != 0 || a.DY != 0 || a.Corr != 0) {
+				t.Errorf("version %d: arrow %+v for a variable no observation has, want zero", snap.Version, a)
+			}
+		}
+		for _, d := range snap.Drift {
+			if slices.Contains(missing, d.Name) {
+				t.Errorf("version %d: drift %+v for a variable no observation has", snap.Version, d)
+			}
+		}
 	}
 }
 
