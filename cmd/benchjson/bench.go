@@ -1,12 +1,4 @@
-// Package bench parses `go test -bench` output and manages the
-// repository's committed benchmark baselines (the BENCH_<date>.json
-// files): per-benchmark ns/op and allocation figures, the serial-vs-
-// parallel speedup of the kernel sub-benchmark pairs (name/jobs=1
-// versus name/jobs=N), and tolerance-based regression comparison
-// against a previous baseline. Benchmark timings are only comparable
-// between runs of the same host class, so every file embeds the host
-// that produced it and Compare degrades to advisory when hosts differ.
-package bench
+package main
 
 import (
 	"bufio"
@@ -21,8 +13,8 @@ import (
 	"strings"
 )
 
-// Host describes the machine class a benchmark file was measured on.
-type Host struct {
+// benchHost describes the machine class a benchmark file was measured on.
+type benchHost struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
 	CPU        string `json:"cpu,omitempty"` // the go-test "cpu:" header, when present
@@ -31,9 +23,9 @@ type Host struct {
 	GoVersion  string `json:"go_version"`
 }
 
-// CurrentHost describes the running process's machine.
-func CurrentHost() Host {
-	return Host{
+// currentHost describes the running process's machine.
+func currentHost() benchHost {
+	return benchHost{
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
@@ -45,7 +37,7 @@ func CurrentHost() Host {
 // Comparable reports whether timings from the two hosts can gate CI:
 // same platform and CPU count. The CPU model string participates only
 // when both sides recorded one.
-func (h Host) Comparable(o Host) bool {
+func (h benchHost) matches(o benchHost) bool {
 	if h.GOOS != o.GOOS || h.GOARCH != o.GOARCH || h.NumCPU != o.NumCPU {
 		return false
 	}
@@ -55,8 +47,8 @@ func (h Host) Comparable(o Host) bool {
 	return true
 }
 
-// Entry is one benchmark result line.
-type Entry struct {
+// benchEntry is one benchmark result line.
+type benchEntry struct {
 	// Name is the benchmark name with the -GOMAXPROCS suffix stripped,
 	// e.g. "SSAMultiStart/jobs=4".
 	Name string `json:"name"`
@@ -71,9 +63,9 @@ type Entry struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Speedup is the serial-vs-parallel ratio of one kernel's sub-benchmark
+// speedup is the serial-vs-parallel ratio of one kernel's sub-benchmark
 // pair.
-type Speedup struct {
+type speedup struct {
 	// Kernel is the benchmark name without the /jobs=N suffix.
 	Kernel string `json:"kernel"`
 	// Jobs is the parallel variant's worker budget.
@@ -85,15 +77,15 @@ type Speedup struct {
 	Factor float64 `json:"factor"`
 }
 
-// File is one committed BENCH_<date>.json document.
-type File struct {
+// benchFile is one committed BENCH_<date>.json document.
+type benchFile struct {
 	// Date is the measurement date, YYYY-MM-DD.
-	Date string `json:"date"`
-	Host Host   `json:"host"`
+	Date string    `json:"date"`
+	Host benchHost `json:"host"`
 	// Entries lists every parsed benchmark in output order.
-	Entries []Entry `json:"entries"`
+	Entries []benchEntry `json:"entries"`
 	// Speedups lists the jobs=1/jobs=N ratios derivable from Entries.
-	Speedups []Speedup `json:"speedups,omitempty"`
+	Speedups []speedup `json:"speedups,omitempty"`
 }
 
 // benchLine matches one go-test benchmark result line: a name starting
@@ -103,14 +95,14 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 // gomaxprocsSuffix is the "-8" style suffix go test appends to names.
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
-// ParseGoBench reads `go test -bench` output: benchmark lines become
+// parseGoBench reads `go test -bench` output: benchmark lines become
 // Entries (in output order) and the goos/goarch/cpu headers fill the
-// matching Host fields. Non-benchmark lines (PASS, ok, test logs) are
+// matching host fields. Non-benchmark lines (PASS, ok, test logs) are
 // ignored. Duplicate names (from -count N) keep the fastest ns/op, the
 // conventional reduction for noisy timings.
-func ParseGoBench(r io.Reader) ([]Entry, Host, error) {
-	host := CurrentHost()
-	var entries []Entry
+func parseGoBench(r io.Reader) ([]benchEntry, benchHost, error) {
+	host := currentHost()
+	var entries []benchEntry
 	index := map[string]int{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -150,22 +142,22 @@ func ParseGoBench(r io.Reader) ([]Entry, Host, error) {
 	return entries, host, nil
 }
 
-func parseEntry(m []string) (Entry, error) {
+func parseEntry(m []string) (benchEntry, error) {
 	name := strings.TrimPrefix(m[1], "Benchmark")
 	name = gomaxprocsSuffix.ReplaceAllString(name, "")
 	iters, err := strconv.Atoi(m[2])
 	if err != nil {
-		return Entry{}, err
+		return benchEntry{}, err
 	}
-	e := Entry{Name: name, Iters: iters}
+	e := benchEntry{Name: name, Iters: iters}
 	fields := strings.Fields(m[3])
 	if len(fields)%2 != 0 {
-		return Entry{}, fmt.Errorf("odd value/unit fields %q", m[3])
+		return benchEntry{}, fmt.Errorf("odd value/unit fields %q", m[3])
 	}
 	for i := 0; i < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Entry{}, fmt.Errorf("value %q: %v", fields[i], err)
+			return benchEntry{}, fmt.Errorf("value %q: %v", fields[i], err)
 		}
 		switch unit := fields[i+1]; unit {
 		case "ns/op":
@@ -182,7 +174,7 @@ func parseEntry(m []string) (Entry, error) {
 		}
 	}
 	if e.NsPerOp == 0 {
-		return Entry{}, fmt.Errorf("no ns/op field")
+		return benchEntry{}, fmt.Errorf("no ns/op field")
 	}
 	return e, nil
 }
@@ -190,13 +182,13 @@ func parseEntry(m []string) (Entry, error) {
 // jobsName splits "Kernel/jobs=N" into its kernel and worker count.
 var jobsName = regexp.MustCompile(`^(.+)/jobs=(\d+)$`)
 
-// ComputeSpeedups derives the serial-vs-parallel ratios from the
+// computeSpeedups derives the serial-vs-parallel ratios from the
 // name/jobs=N sub-benchmark convention: every kernel with a jobs=1
-// entry gets one Speedup per other worker count, in (kernel, jobs)
+// entry gets one speedup per other worker count, in (kernel, jobs)
 // order. Kernels missing their jobs=1 baseline are skipped.
-func ComputeSpeedups(entries []Entry) []Speedup {
+func computeSpeedups(entries []benchEntry) []speedup {
 	serial := map[string]float64{}
-	parallel := map[string][]Speedup{}
+	parallel := map[string][]speedup{}
 	var kernels []string
 	for _, e := range entries {
 		m := jobsName.FindStringSubmatch(e.Name)
@@ -212,9 +204,9 @@ func ComputeSpeedups(entries []Entry) []Speedup {
 			serial[kernel] = e.NsPerOp
 			continue
 		}
-		parallel[kernel] = append(parallel[kernel], Speedup{Kernel: kernel, Jobs: jobs, ParallelNs: e.NsPerOp})
+		parallel[kernel] = append(parallel[kernel], speedup{Kernel: kernel, Jobs: jobs, ParallelNs: e.NsPerOp})
 	}
-	var out []Speedup
+	var out []speedup
 	for _, kernel := range kernels {
 		s, ok := serial[kernel]
 		if !ok || s == 0 {
@@ -233,8 +225,8 @@ func ComputeSpeedups(entries []Entry) []Speedup {
 	return out
 }
 
-// Regression is one benchmark that got slower than the baseline allows.
-type Regression struct {
+// regression is one benchmark that got slower than the baseline allows.
+type regression struct {
 	Name       string  `json:"name"`
 	BaselineNs float64 `json:"baseline_ns"`
 	CurrentNs  float64 `json:"current_ns"`
@@ -242,21 +234,21 @@ type Regression struct {
 	Ratio float64 `json:"ratio"`
 }
 
-func (r Regression) String() string {
+func (r regression) String() string {
 	return fmt.Sprintf("%s: %.0f ns/op -> %.0f ns/op (%.2fx, regression)",
 		r.Name, r.BaselineNs, r.CurrentNs, r.Ratio)
 }
 
-// Compare returns the benchmarks in current that regressed beyond
+// compare returns the benchmarks in current that regressed beyond
 // tolerance (e.g. 0.25 allows 25% slowdown) against the baseline.
 // Benchmarks present on only one side are ignored: adding or retiring a
 // benchmark is not a regression.
-func Compare(baseline, current *File, tolerance float64) []Regression {
+func compare(baseline, current *benchFile, tolerance float64) []regression {
 	base := map[string]float64{}
 	for _, e := range baseline.Entries {
 		base[e.Name] = e.NsPerOp
 	}
-	var regs []Regression
+	var regs []regression
 	for _, e := range current.Entries {
 		b, ok := base[e.Name]
 		if !ok || b == 0 {
@@ -264,19 +256,19 @@ func Compare(baseline, current *File, tolerance float64) []Regression {
 		}
 		ratio := e.NsPerOp / b
 		if ratio > 1+tolerance {
-			regs = append(regs, Regression{Name: e.Name, BaselineNs: b, CurrentNs: e.NsPerOp, Ratio: ratio})
+			regs = append(regs, regression{Name: e.Name, BaselineNs: b, CurrentNs: e.NsPerOp, Ratio: ratio})
 		}
 	}
 	return regs
 }
 
 // ReadFile loads one BENCH_<date>.json document.
-func ReadFile(path string) (*File, error) {
+func readBenchFile(path string) (*benchFile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var f File
+	var f benchFile
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", path, err)
 	}
@@ -285,7 +277,7 @@ func ReadFile(path string) (*File, error) {
 
 // WriteFile saves the document as indented JSON with a trailing
 // newline, the committed-file convention.
-func (f *File) WriteFile(path string) error {
+func (f *benchFile) write(path string) error {
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return err
@@ -293,10 +285,10 @@ func (f *File) WriteFile(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// LatestBaseline returns the lexically greatest BENCH_*.json under dir
+// latestBaseline returns the lexically greatest BENCH_*.json under dir
 // — the naming scheme makes that the most recent date — or "" when none
 // exist.
-func LatestBaseline(dir string) (string, error) {
+func latestBaseline(dir string) (string, error) {
 	matches, err := os.ReadDir(dir)
 	if err != nil {
 		return "", err

@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"os"
@@ -21,9 +21,9 @@ PASS
 ok  	coplot	12.345s
 `
 
-func parseSample(t *testing.T) ([]Entry, Host) {
+func parseSample(t *testing.T) ([]benchEntry, benchHost) {
 	t.Helper()
-	entries, host, err := ParseGoBench(strings.NewReader(sampleOutput))
+	entries, host, err := parseGoBench(strings.NewReader(sampleOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func parseSample(t *testing.T) ([]Entry, Host) {
 }
 
 func TestParseGoBench(t *testing.T) {
-	entries, host, err := ParseGoBench(strings.NewReader(sampleOutput))
+	entries, host, err := parseGoBench(strings.NewReader(sampleOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestParseGoBench(t *testing.T) {
 
 func TestParseGoBenchKeepsFastestDuplicate(t *testing.T) {
 	out := "BenchmarkX 10 2000 ns/op\nBenchmarkX 10 1000 ns/op\nBenchmarkX 10 1500 ns/op\n"
-	entries, _, err := ParseGoBench(strings.NewReader(out))
+	entries, _, err := parseGoBench(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,17 +78,17 @@ func TestParseGoBenchKeepsFastestDuplicate(t *testing.T) {
 }
 
 func TestParseGoBenchRejectsMalformed(t *testing.T) {
-	if _, _, err := ParseGoBench(strings.NewReader("BenchmarkX 10 12 ns/op trailing\n")); err == nil {
+	if _, _, err := parseGoBench(strings.NewReader("BenchmarkX 10 12 ns/op trailing\n")); err == nil {
 		t.Fatal("odd field count accepted")
 	}
-	if _, _, err := ParseGoBench(strings.NewReader("BenchmarkX 10 12 B/op\n")); err == nil {
+	if _, _, err := parseGoBench(strings.NewReader("BenchmarkX 10 12 B/op\n")); err == nil {
 		t.Fatal("missing ns/op accepted")
 	}
 }
 
 func TestComputeSpeedups(t *testing.T) {
 	entries, _ := parseSample(t)
-	sp := ComputeSpeedups(entries)
+	sp := computeSpeedups(entries)
 	// SSAMultiStart and EstimateSet have jobs=1+jobs=4 pairs; CityBlock
 	// has only jobs=1 (no ratio); Table1 has no jobs suffix at all.
 	if len(sp) != 2 {
@@ -107,17 +107,17 @@ func TestComputeSpeedups(t *testing.T) {
 }
 
 func TestCompare(t *testing.T) {
-	baseline := &File{Entries: []Entry{
+	baseline := &benchFile{Entries: []benchEntry{
 		{Name: "A", NsPerOp: 1000},
 		{Name: "B", NsPerOp: 1000},
 		{Name: "Retired", NsPerOp: 1000},
 	}}
-	current := &File{Entries: []Entry{
+	current := &benchFile{Entries: []benchEntry{
 		{Name: "A", NsPerOp: 1200},  // within a 25% tolerance
 		{Name: "B", NsPerOp: 1600},  // regressed
 		{Name: "New", NsPerOp: 999}, // no baseline: ignored
 	}}
-	regs := Compare(baseline, current, 0.25)
+	regs := compare(baseline, current, 0.25)
 	if len(regs) != 1 || regs[0].Name != "B" {
 		t.Fatalf("regressions = %+v", regs)
 	}
@@ -127,29 +127,29 @@ func TestCompare(t *testing.T) {
 	if !strings.Contains(regs[0].String(), "regression") {
 		t.Fatalf("String() = %q", regs[0].String())
 	}
-	if regs := Compare(baseline, current, 0.7); len(regs) != 0 {
+	if regs := compare(baseline, current, 0.7); len(regs) != 0 {
 		t.Fatalf("tolerant compare found %+v", regs)
 	}
 }
 
 func TestHostComparable(t *testing.T) {
-	a := Host{GOOS: "linux", GOARCH: "amd64", NumCPU: 8, CPU: "Xeon"}
-	if !a.Comparable(a) {
+	a := benchHost{GOOS: "linux", GOARCH: "amd64", NumCPU: 8, CPU: "Xeon"}
+	if !a.matches(a) {
 		t.Fatal("host not comparable to itself")
 	}
 	b := a
 	b.NumCPU = 1
-	if a.Comparable(b) {
+	if a.matches(b) {
 		t.Fatal("different CPU counts comparable")
 	}
 	c := a
 	c.CPU = "" // unknown CPU model: platform+count still decide
-	if !a.Comparable(c) {
+	if !a.matches(c) {
 		t.Fatal("missing CPU model should not block comparison")
 	}
 	d := a
 	d.CPU = "EPYC"
-	if a.Comparable(d) {
+	if a.matches(d) {
 		t.Fatal("different CPU models comparable")
 	}
 }
@@ -157,9 +157,9 @@ func TestHostComparable(t *testing.T) {
 func TestFileRoundTripAndLatest(t *testing.T) {
 	dir := t.TempDir()
 	entries, host := parseSample(t)
-	f := &File{Date: "2026-08-05", Host: host, Entries: entries, Speedups: ComputeSpeedups(entries)}
+	f := &benchFile{Date: "2026-08-05", Host: host, Entries: entries, Speedups: computeSpeedups(entries)}
 	for _, name := range []string{"BENCH_2026-07-01.json", "BENCH_2026-08-05.json"} {
-		if err := f.WriteFile(filepath.Join(dir, name)); err != nil {
+		if err := f.write(filepath.Join(dir, name)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,14 +167,14 @@ func TestFileRoundTripAndLatest(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "BENCH_zz.txt"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	latest, err := LatestBaseline(dir)
+	latest, err := latestBaseline(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if filepath.Base(latest) != "BENCH_2026-08-05.json" {
 		t.Fatalf("latest = %q", latest)
 	}
-	got, err := ReadFile(latest)
+	got, err := readBenchFile(latest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestFileRoundTripAndLatest(t *testing.T) {
 }
 
 func TestLatestBaselineEmpty(t *testing.T) {
-	latest, err := LatestBaseline(t.TempDir())
+	latest, err := latestBaseline(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

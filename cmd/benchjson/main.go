@@ -35,8 +35,6 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
-
-	"coplot/internal/bench"
 )
 
 func main() {
@@ -67,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchjson:", err)
 		return 1
 	}
-	entries, host, err := bench.ParseGoBench(strings.NewReader(out))
+	entries, host, err := parseGoBench(strings.NewReader(out))
 	if err != nil {
 		fmt.Fprintln(stderr, "benchjson:", err)
 		return 1
@@ -80,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if day == "" {
 		day = time.Now().UTC().Format("2006-01-02")
 	}
-	f := &bench.File{Date: day, Host: host, Entries: entries, Speedups: bench.ComputeSpeedups(entries)}
+	f := &benchFile{Date: day, Host: host, Entries: entries, Speedups: computeSpeedups(entries)}
 
 	// Resolve the baseline before writing, so a same-directory run never
 	// compares the fresh file against itself.
@@ -90,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if dir == "" {
 			dir = *outDir
 		}
-		basePath, err = bench.LatestBaseline(dir)
+		basePath, err = latestBaseline(dir)
 		if err != nil {
 			fmt.Fprintln(stderr, "benchjson:", err)
 			return 1
@@ -98,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	outPath := filepath.Join(*outDir, "BENCH_"+day+".json")
-	if err := f.WriteFile(outPath); err != nil {
+	if err := f.write(outPath); err != nil {
 		fmt.Fprintln(stderr, "benchjson:", err)
 		return 1
 	}
@@ -112,13 +110,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "no previous baseline: nothing to compare")
 		return 0
 	}
-	base, err := bench.ReadFile(basePath)
+	base, err := readBenchFile(basePath)
 	if err != nil {
 		fmt.Fprintln(stderr, "benchjson:", err)
 		return 1
 	}
-	regs := bench.Compare(base, f, *tolerance)
-	comparable := base.Host.Comparable(f.Host)
+	regs := compare(base, f, *tolerance)
+	comparable := base.Host.matches(f.Host)
 	switch {
 	case len(regs) == 0:
 		fmt.Fprintf(stdout, "no regressions vs %s (tolerance %.0f%%)\n", basePath, *tolerance*100)

@@ -8,8 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"coplot/internal/bench"
 )
 
 // fakeOutput renders go-test bench output whose host headers match the
@@ -50,7 +48,7 @@ func TestWriteAndCompareClean(t *testing.T) {
 	if !strings.Contains(out, "no previous baseline") {
 		t.Fatalf("out = %q", out)
 	}
-	f, err := bench.ReadFile(filepath.Join(dir, "BENCH_2026-01-01.json"))
+	f, err := readBenchFile(filepath.Join(dir, "BENCH_2026-01-01.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +97,11 @@ func TestRegressionGates(t *testing.T) {
 func TestHostMismatchIsAdvisory(t *testing.T) {
 	dir := t.TempDir()
 	// A baseline measured on a fictional other machine.
-	other := bench.Host{GOOS: "plan9", GOARCH: "riscv64", NumCPU: 1024, GoVersion: "go1.22"}
-	base := &bench.File{Date: "2026-01-01", Host: other, Entries: []bench.Entry{
+	other := benchHost{GOOS: "plan9", GOARCH: "riscv64", NumCPU: 1024, GoVersion: "go1.22"}
+	base := &benchFile{Date: "2026-01-01", Host: other, Entries: []benchEntry{
 		{Name: "SSAMultiStart/jobs=1", Iters: 10, NsPerOp: 1},
 	}}
-	if err := base.WriteFile(filepath.Join(dir, "BENCH_2026-01-01.json")); err != nil {
+	if err := base.write(filepath.Join(dir, "BENCH_2026-01-01.json")); err != nil {
 		t.Fatal(err)
 	}
 	slow := writeInput(t, dir, "slow.txt", fakeOutput(1000, 500))

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"net/http"
+
+	"coplot/internal/store"
 )
 
 // ArtifactStore is the narrow slice of store.Backend the Handler
@@ -17,15 +19,6 @@ type ArtifactStore interface {
 	Put(key string, val any, size int64) []string
 }
 
-// ArtifactCodec mirrors store.Codec: Encode may decline a value, and
-// Decode reverses it.
-type ArtifactCodec interface {
-	// Encode renders v as wire bytes, or reports false when it cannot.
-	Encode(v any) ([]byte, bool)
-	// Decode reverses Encode.
-	Decode(data []byte) (any, error)
-}
-
 // Handler serves the replica-to-replica artifact exchange over a local
 // backend. It deliberately operates on the LOCAL backend, not the Peer
 // tier above it: a peer asking this replica for an artifact must see
@@ -33,7 +26,7 @@ type ArtifactCodec interface {
 // into the ring.
 type Handler struct {
 	local    ArtifactStore
-	codec    ArtifactCodec
+	codec    store.Codec
 	maxBytes int64
 }
 
@@ -42,7 +35,7 @@ type Handler struct {
 // DefaultMaxFetchBytes). Mount it on a Go 1.22 ServeMux at
 // "GET /internal/v1/artifact/{key}" and "PUT /internal/v1/artifact/{key}"
 // so the {key} path value resolves.
-func NewHandler(local ArtifactStore, c ArtifactCodec, maxBytes int64) *Handler {
+func NewHandler(local ArtifactStore, c store.Codec, maxBytes int64) *Handler {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxFetchBytes
 	}

@@ -2,8 +2,8 @@ package service
 
 // Acceptance tests of the corpus and match endpoints, driven through
 // the typed client (pkg/coplotclient) exactly as external callers and
-// cmd/coplotload drive the service — so client/server drift fails here
-// first.
+// the benchmark (bench/coplotbench) drive the service — so client/server
+// drift fails here first.
 
 import (
 	"bytes"

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -139,14 +140,26 @@ func readArtifact(path string) (key string, payload []byte, err error) {
 	if err != nil {
 		return "", nil, err
 	}
+	key, payload, err = decodeArtifact(data)
+	if err != nil {
+		return "", nil, fmt.Errorf("store: %s: %w", path, err)
+	}
+	return key, payload, nil
+}
+
+// decodeArtifact reverses encodeArtifact: it accepts exactly the images
+// encodeArtifact produces and rejects every other input with an error.
+func decodeArtifact(data []byte) (key string, payload []byte, err error) {
 	if len(data) < len(diskMagic)+8 || string(data[:len(diskMagic)]) != diskMagic {
-		return "", nil, fmt.Errorf("store: %s: bad magic", path)
+		return "", nil, errors.New("bad magic")
 	}
 	rest := data[len(diskMagic):]
 	keyLen := binary.BigEndian.Uint64(rest[:8])
 	rest = rest[8:]
-	if uint64(len(rest)) < keyLen+8+sha256.Size {
-		return "", nil, fmt.Errorf("store: %s: truncated header", path)
+	// Compare without adding to keyLen, which comes from the file and
+	// could wrap the sum past zero.
+	if len(rest) < 8+sha256.Size || keyLen > uint64(len(rest)-8-sha256.Size) {
+		return "", nil, errors.New("truncated header")
 	}
 	key = string(rest[:keyLen])
 	rest = rest[keyLen:]
@@ -155,10 +168,10 @@ func readArtifact(path string) (key string, payload []byte, err error) {
 	want := rest[:sha256.Size]
 	rest = rest[sha256.Size:]
 	if uint64(len(rest)) != payLen {
-		return "", nil, fmt.Errorf("store: %s: truncated payload (%d of %d bytes)", path, len(rest), payLen)
+		return "", nil, fmt.Errorf("truncated payload (%d of %d bytes)", len(rest), payLen)
 	}
 	if sum := sha256.Sum256(rest); !bytes.Equal(sum[:], want) {
-		return "", nil, fmt.Errorf("store: %s: checksum mismatch", path)
+		return "", nil, errors.New("checksum mismatch")
 	}
 	return key, rest, nil
 }

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -205,6 +207,32 @@ func TestDiskScrubsInvalidEntries(t *testing.T) {
 		if strings.HasSuffix(de.Name(), ".tmp") {
 			t.Fatalf("orphaned tmp file survived scrub: %s", de.Name())
 		}
+	}
+}
+
+// A key length near 2^64 must not wrap the header bounds check: the
+// record is evicted at startup instead of panicking NewDisk.
+func TestDiskScrubsWrappedKeyLength(t *testing.T) {
+	dir := t.TempDir()
+	key := Key("wrap", nil, []byte("x"))
+	img := append([]byte(diskMagic), make([]byte, 8)...)
+	binary.BigEndian.PutUint64(img[len(diskMagic):], math.MaxUint64-39) // 2^64-40: keyLen+8+32 wraps to 0
+	path := filepath.Join(dir, fileName(key))
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("wrapped-length record still on disk after scrub")
+	}
+	if st := d.Stats(); st[0].Evictions != 1 {
+		t.Fatalf("scrub evictions = %d, want 1", st[0].Evictions)
+	}
+	if _, ok := d.Get(key); ok {
+		t.Fatal("wrapped-length record served")
 	}
 }
 

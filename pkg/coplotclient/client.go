@@ -2,10 +2,11 @@
 // It covers the whole surface — analysis, streaming, corpus and match
 // — decodes the service's structured error envelope into *Error (so
 // callers branch on machine codes, not substrings), and surfaces the
-// cache metadata headers on every call. cmd/coplotload and the service
-// acceptance tests drive coplotd exclusively through it, which keeps
-// the client honest: any drift between the server and this package
-// breaks the repository's own tooling first.
+// cache metadata headers on every call. The benchmark
+// (bench/coplotbench) and the service acceptance tests drive coplotd
+// exclusively through it, which keeps the client honest: any drift
+// between the server and this package breaks the repository's own
+// tooling first.
 package coplotclient
 
 import (
