@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"coplot/internal/core"
+	"coplot/internal/engine"
 	"coplot/internal/experiments"
 	"coplot/internal/fgn"
 	"coplot/internal/mat"
@@ -256,7 +257,7 @@ func BenchmarkTable3CI(b *testing.B) { benchNamed(b, "table3ci") }
 func benchRunAll(b *testing.B, jobs int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		outs, err := experiments.RunAll(context.Background(), benchCfg(), experiments.RunOptions{Jobs: jobs})
+		outs, err := experiments.RunAll(context.Background(), benchCfg(), experiments.RunOptions{Options: engine.Options{Jobs: jobs}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,14 +11,17 @@
 //
 //	coplot -procs 128 a.swf b.swf c.swf ...
 //
-// SWF logs are parsed and characterized in parallel; -jobs bounds the
-// workers and -timeout caps the per-file time, and the same budget
-// drives the analysis kernels (the SSA multi-start fan-out and the
-// dissimilarity row blocks). The resulting dataset and map are
-// identical at any -jobs setting. -retries re-attempts a failing file
-// with deterministic backoff, -task-timeout bounds each attempt, and
-// -keep-going drops unreadable logs (with a warning and a non-zero
-// exit) instead of aborting, as long as at least 3 logs survive.
+// SWF logs are parsed and characterized in parallel, one engine.Map
+// task per file. The engine flags are engine.Options.RegisterFlags's,
+// shared with hurst and experiments: -jobs bounds the workers and
+// -timeout caps the per-file time, and the same budget drives the
+// analysis kernels (the SSA multi-start fan-out and the dissimilarity
+// row blocks). The resulting dataset and map are identical at any
+// -jobs setting. -retries re-attempts a failing file with
+// deterministic backoff, -backoff sets its base delay, -task-timeout
+// bounds each attempt, and -keep-going drops unreadable logs (with a
+// warning and a non-zero exit) instead of aborting, as long as at
+// least 3 logs survive.
 //
 // -landmarks N embeds a sample of N observations exactly and places
 // the rest against it (landmark MDS) when the dataset is larger than
@@ -43,7 +46,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"coplot/internal/core"
 	"coplot/internal/engine"
@@ -61,18 +63,6 @@ func main() {
 	os.Exit(realMain())
 }
 
-// loadOptions carries the SWF fan-out settings from the flags.
-type loadOptions struct {
-	procs          int
-	jobs           int
-	timeout        time.Duration
-	attemptTimeout time.Duration
-	retries        int
-	backoff        time.Duration
-	keepGoing      bool
-	sink           obs.Sink
-}
-
 // realMain runs the CLI and returns its exit code, so deferred
 // cleanups (profile flush, trace close) run before the process exits.
 func realMain() int {
@@ -84,16 +74,11 @@ func realMain() int {
 	seed := flag.Uint64("seed", 7, "MDS restart seed")
 	landmarks := flag.Int("landmarks", 0, "landmark count: analyses over more observations use landmark MDS (0 = always solve exactly)")
 	procs := flag.Int("procs", 128, "machine size for SWF inputs")
-	jobs := flag.Int("jobs", 0, "worker budget: SWF files loaded concurrently and analysis kernel workers (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 0, "per-file parse/characterize time limit across all attempts (0 = none)")
-	retries := flag.Int("retries", 0, "retry a failing file up to N more times (0 = fail on first error)")
-	backoff := flag.Duration("backoff", 0, "base delay before the first retry, doubling per retry (0 = engine default)")
-	taskTimeout := flag.Duration("task-timeout", 0, "per-attempt time limit; a timed-out attempt is retried under -retries (0 = none)")
-	keepGoing := flag.Bool("keep-going", false, "drop unreadable logs (warning + non-zero exit) instead of aborting; needs >=3 surviving logs")
 	cacheDir := flag.String("cache-dir", "", "durable report cache directory; the rendered map report is reused across invocations over unchanged inputs")
-	cacheTier := flag.String("cache-tier", "", "cache backend: memory, disk, or tiered (empty = tiered when -cache-dir is set, memory otherwise)")
 	manifestPath := flag.String("manifest", "", "write the run manifest to this file")
 	tracePath := flag.String("trace", "", "append engine events as JSON lines to this file")
+	var opts engine.Options
+	opts.RegisterFlags(flag.CommandLine)
 	var prof obs.Profile
 	prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -129,8 +114,8 @@ func realMain() int {
 	// them. A hit prints the cached report and exits before any loading.
 	var cache store.Backend
 	var reportKey string
-	if (*cacheDir != "" || *cacheTier != "") && *svgPath == "" && *shepardPath == "" {
-		cache, err = store.Open(*cacheDir, *cacheTier, nil)
+	if *cacheDir != "" && *svgPath == "" && *shepardPath == "" {
+		cache, err = store.Open(*cacheDir, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "coplot:", err)
 			return 1
@@ -146,14 +131,10 @@ func realMain() int {
 		}
 	}
 
-	lopts := loadOptions{
-		procs: *procs, jobs: *jobs, timeout: *timeout, attemptTimeout: *taskTimeout,
-		retries: *retries, backoff: *backoff, keepGoing: *keepGoing,
-		sink: obs.Multi(sinks...),
-	}
-	ds, err := loadDataset(*csvPath, flag.Args(), lopts)
+	opts.Sink = obs.Multi(sinks...)
+	ds, err := loadDataset(*csvPath, flag.Args(), *procs, opts)
 	if *manifestPath != "" {
-		m := metrics.Manifest(obs.RunInfo{Tool: "coplot", Seed: *seed, Jobs: *jobs, Timeout: *timeout})
+		m := metrics.Manifest(obs.RunInfo{Tool: "coplot", Seed: *seed, Jobs: opts.Jobs, Timeout: opts.Timeout})
 		if werr := m.WriteFile(*manifestPath); werr != nil {
 			fmt.Fprintln(os.Stderr, "coplot: manifest:", werr)
 			return 1
@@ -181,7 +162,7 @@ func realMain() int {
 	res, err := core.AnalyzeContext(context.Background(), ds, core.Options{
 		// The same -jobs budget that bounded the file fan-out drives
 		// the analysis kernels (SSA multi-starts, dissimilarity rows).
-		MDS:            mds.Options{Seed: *seed, Par: par.NewBudget(*jobs), Landmarks: *landmarks},
+		MDS:            mds.Options{Seed: *seed, Par: par.NewBudget(opts.Jobs), Landmarks: *landmarks},
 		PruneThreshold: *prune,
 	})
 	if err != nil {
@@ -253,14 +234,14 @@ func cacheKeyFor(csvPath string, swfPaths []string, prune float64, vars string, 
 	return store.Key("coplot-cli", opts, blobs...), true
 }
 
-func loadDataset(csvPath string, swfPaths []string, opts loadOptions) (*core.Dataset, error) {
+func loadDataset(csvPath string, swfPaths []string, procs int, opts engine.Options) (*core.Dataset, error) {
 	switch {
 	case csvPath != "" && len(swfPaths) > 0:
 		return nil, fmt.Errorf("choose either -csv or SWF files, not both")
 	case csvPath != "":
 		return loadCSV(csvPath)
 	case len(swfPaths) >= 3:
-		return loadSWF(swfPaths, opts)
+		return loadSWF(swfPaths, procs, opts)
 	}
 	return nil, fmt.Errorf("need -csv FILE or at least 3 SWF logs")
 }
@@ -277,23 +258,15 @@ func loadCSV(path string) (*core.Dataset, error) {
 	return service.ParseCSVDataset(path, f)
 }
 
-func loadSWF(paths []string, lopts loadOptions) (*core.Dataset, error) {
-	m := machine.Machine{Name: "cli", Procs: lopts.procs,
+func loadSWF(paths []string, procs int, opts engine.Options) (*core.Dataset, error) {
+	m := machine.Machine{Name: "cli", Procs: procs,
 		Scheduler: machine.SchedulerEASY, Allocator: machine.AllocatorUnlimited}
 	// Each file parses and characterizes independently; engine.Map keeps
 	// the rows in argument order regardless of completion order. The
 	// engine labels failures with the file path, so fn returns bare
 	// errors.
-	opts := engine.MapOptions{
-		Workers: lopts.jobs, Timeout: lopts.timeout, AttemptTimeout: lopts.attemptTimeout,
-		KeepGoing: lopts.keepGoing, Sink: lopts.sink,
-		Label: func(i int) string { return paths[i] },
-	}
-	if lopts.retries > 0 {
-		opts.Retry = engine.RetryPolicy{MaxAttempts: lopts.retries + 1, BaseBackoff: lopts.backoff}
-	}
 	itemErrs := make([]error, len(paths)) // index i written only by its worker
-	rows, err := engine.Map(context.Background(), len(paths), opts,
+	rows, err := engine.Map(context.Background(), paths, opts,
 		func(ctx context.Context, i int) (workload.Variables, error) {
 			row, err := loadOne(paths[i], m)
 			itemErrs[i] = err

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"coplot/internal/engine"
 	"coplot/internal/service"
 )
 
@@ -67,7 +68,7 @@ func TestLoadSWFDataset(t *testing.T) {
 	for _, n := range []string{"a.swf", "b.swf", "c.swf"} {
 		paths = append(paths, writeFile(t, n, row))
 	}
-	ds, err := loadSWF(paths, loadOptions{procs: 128})
+	ds, err := loadSWF(paths, 128, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestLoadSWFDataset(t *testing.T) {
 		t.Fatalf("variables = %d", len(ds.Variables))
 	}
 	// Parallel loading returns the same dataset in the same order.
-	ds4, err := loadSWF(paths, loadOptions{procs: 128, jobs: 4})
+	ds4, err := loadSWF(paths, 128, engine.Options{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,17 +98,17 @@ func TestLoadSWFDataset(t *testing.T) {
 func TestLoadSWFMissingFile(t *testing.T) {
 	row := "1 0 0 100 4 -1 -1 4 -1 -1 1 1 1 1 1 -1 -1 -1\n"
 	paths := []string{writeFile(t, "a.swf", row), writeFile(t, "b.swf", row), "missing.swf"}
-	if _, err := loadSWF(paths, loadOptions{procs: 128, jobs: 2}); err == nil {
+	if _, err := loadSWF(paths, 128, engine.Options{Jobs: 2}); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
 
 func TestLoadDatasetDispatch(t *testing.T) {
-	if _, err := loadDataset("", nil, loadOptions{procs: 128}); err == nil {
+	if _, err := loadDataset("", nil, 128, engine.Options{}); err == nil {
 		t.Fatal("no input accepted")
 	}
 	csv := writeFile(t, "d.csv", "name,x\na,1\nb,2\nc,3\n")
-	if _, err := loadDataset(csv, []string{"x.swf"}, loadOptions{procs: 128}); err == nil {
+	if _, err := loadDataset(csv, []string{"x.swf"}, 128, engine.Options{}); err == nil {
 		t.Fatal("both inputs accepted")
 	}
 }

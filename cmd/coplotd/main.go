@@ -46,7 +46,7 @@
 // Usage:
 //
 //	coplotd [-addr HOST:PORT] [-jobs N] [-max-inflight N] [-cache-bytes N]
-//	        [-cache-dir DIR] [-cache-tier memory|disk|tiered]
+//	        [-cache-dir DIR]
 //	        [-request-timeout D] [-task-timeout D] [-retries N] [-backoff D]
 //	        [-drain D] [-seed N] [-trace FILE] [-manifest FILE]
 //	        [-peers URL,URL,...] [-self URL] [-ring-replicas N]
@@ -70,9 +70,8 @@
 // With -cache-dir the response cache gains a durable tier: responses
 // persist as content-addressed files there, so a restarted coplotd
 // serves previously computed keys as cache hits with byte-identical
-// bodies. -cache-tier picks the backend explicitly (memory, disk, or
-// tiered); by default a -cache-dir means tiered — an LRU memory layer,
-// bounded by -cache-bytes, over the durable files.
+// bodies: the cache is then tiered, an LRU memory layer bounded by
+// -cache-bytes over the durable files.
 //
 // Cluster mode: start N replicas with the same -peers list (every
 // replica's base URL, comma-separated) and each replica's own URL as
@@ -139,7 +138,6 @@ func realMain() int {
 	maxInflight := flag.Int("max-inflight", 0, "concurrent requests admitted; excess get 429 (0 = 2x the worker budget)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "response-cache byte cap, LRU-evicted past it (0 = 256 MiB, negative = unbounded)")
 	cacheDir := flag.String("cache-dir", "", "durable response-cache directory; cached responses survive restarts (empty = memory only)")
-	cacheTier := flag.String("cache-tier", "", "cache backend: memory, disk, or tiered (empty = tiered when -cache-dir is set, memory otherwise)")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request time limit across all attempts (0 = none)")
 	taskTimeout := flag.Duration("task-timeout", 0, "per-attempt time limit; a timed-out attempt is retried under -retries (0 = none)")
 	retries := flag.Int("retries", 0, "retry a transiently failing request up to N more times (0 = fail on first error)")
@@ -192,7 +190,6 @@ func realMain() int {
 		MaxInflight:    *maxInflight,
 		CacheBytes:     *cacheBytes,
 		CacheDir:       *cacheDir,
-		CacheTier:      *cacheTier,
 		RequestTimeout: *requestTimeout,
 		AttemptTimeout: *taskTimeout,
 		Retries:        *retries,

@@ -6,7 +6,7 @@
 //	            [-jobs N] [-timeout D] [-task-timeout D]
 //	            [-retries N] [-backoff D] [-keep-going]
 //	            [-sitejobs N] [-modeljobs N] [-periodjobs N]
-//	            [-cache-dir DIR] [-cache-tier memory|disk|tiered]
+//	            [-cache-dir DIR]
 //	            [-manifest FILE] [-trace FILE] [-inject SPEC]
 //	            [-cpuprofile FILE] [-memprofile FILE] [-pprof ADDR]
 //	experiments -report [-manifest FILE] [-report-into FILE]
@@ -24,13 +24,15 @@
 // configuration and the Go version, so changed settings or toolchains
 // miss). The cache is bypassed while -inject is active.
 //
-// Experiments run on a dependency-aware parallel engine: -jobs bounds
-// how many run concurrently and -timeout caps each one's wall-clock
-// time. The same -jobs budget is shared with the numeric kernels inside
-// each experiment (SSA multi-starts, Hurst estimator fan-outs, blocked
-// matrix loops), so total compute parallelism stays bounded. Shared
-// artifacts (generated logs, workload tables) are computed once per
-// invocation, and outputs are byte-identical at any -jobs setting.
+// Experiments run on a dependency-aware parallel engine, under the
+// engine flags engine.Options.RegisterFlags declares for experiments,
+// coplot and hurst alike: -jobs bounds how many run concurrently and
+// -timeout caps each one's wall-clock time. The same -jobs budget is
+// shared with the numeric kernels inside each experiment (SSA
+// multi-starts, Hurst estimator fan-outs, blocked matrix loops), so
+// total compute parallelism stays bounded. Shared artifacts (generated
+// logs, workload tables) are computed once per invocation, and outputs
+// are byte-identical at any -jobs setting.
 //
 // Fault tolerance: -retries re-attempts a failing experiment with
 // exponential backoff (-backoff sets the base delay; the jitter is
@@ -90,22 +92,17 @@ func run(args []string, stdout io.Writer) error {
 	runName := fs.String("run", "all", "experiments to run: 'all' or a comma-separated list of names")
 	out := fs.String("out", "", "directory for .txt/.svg artifacts (optional)")
 	seed := fs.Uint64("seed", 0, "master seed (0 = paper default)")
-	jobs := fs.Int("jobs", 0, "worker budget: concurrent experiments and kernel workers inside them (0 = GOMAXPROCS)")
-	timeout := fs.Duration("timeout", 0, "per-experiment time limit across all attempts (0 = none)")
-	retries := fs.Int("retries", 0, "retry each failing experiment up to N more times (0 = fail on first error)")
-	backoff := fs.Duration("backoff", 0, "base delay before the first retry, doubling per retry (0 = engine default)")
-	taskTimeout := fs.Duration("task-timeout", 0, "per-attempt time limit; a timed-out attempt is retried under -retries (0 = none)")
-	keepGoing := fs.Bool("keep-going", false, "record failures and skip their dependents while independent experiments complete; exit non-zero with a failure summary")
 	inject := fs.String("inject", "", "fault-injection schedule 'target=error|panic|hang[:times],...' (testing)")
 	siteJobs := fs.Int("sitejobs", 0, "jobs per production-site log (0 = default)")
 	modelJobs := fs.Int("modeljobs", 0, "jobs per synthetic-model log (0 = default)")
 	periodJobs := fs.Int("periodjobs", 0, "jobs per half-year period log (0 = default)")
 	cacheDir := fs.String("cache-dir", "", "durable experiment cache directory; completed outputs are reused by later invocations with the same settings")
-	cacheTier := fs.String("cache-tier", "", "cache backend: memory, disk, or tiered (empty = tiered when -cache-dir is set, memory otherwise)")
 	manifest := fs.String("manifest", "out/manifest.json", "write the run manifest to this file ('' = off)")
 	trace := fs.String("trace", "", "append engine events as JSON lines to this file")
 	report := fs.Bool("report", false, "render the manifest as a Markdown timing table and exit")
 	reportInto := fs.String("report-into", "", "with -report: update the run-report section of this file instead of printing")
+	var opts experiments.RunOptions
+	opts.RegisterFlags(fs)
 	var prof obs.Profile
 	prof.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -168,13 +165,9 @@ func run(args []string, stdout io.Writer) error {
 	cfg := experiments.Config{
 		Seed: *seed, Jobs: *siteJobs, ModelJobs: *modelJobs, PeriodJobs: *periodJobs,
 	}
-	opts := experiments.RunOptions{
-		Jobs: *jobs, Timeout: *timeout, AttemptTimeout: *taskTimeout,
-		Retries: *retries, Backoff: *backoff, KeepGoing: *keepGoing,
-		Inject: sched, Sink: obs.Multi(sinks...),
-	}
-	if *cacheDir != "" || *cacheTier != "" {
-		backend, err := store.Open(*cacheDir, *cacheTier, experiments.OutputCodec{})
+	opts.Inject, opts.Sink = sched, obs.Multi(sinks...)
+	if *cacheDir != "" {
+		backend, err := store.Open(*cacheDir, experiments.OutputCodec{})
 		if err != nil {
 			return err
 		}
@@ -193,7 +186,7 @@ func run(args []string, stdout io.Writer) error {
 	// surfacing the run error.
 	if *manifest != "" {
 		m := metrics.Manifest(obs.RunInfo{
-			Tool: "experiments", Seed: cfg.WithDefaults().Seed, Jobs: *jobs, Timeout: *timeout,
+			Tool: "experiments", Seed: cfg.WithDefaults().Seed, Jobs: opts.Jobs, Timeout: opts.Timeout,
 		})
 		if err := m.WriteFile(*manifest); err != nil {
 			return fmt.Errorf("writing manifest: %w", err)

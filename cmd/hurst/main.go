@@ -7,16 +7,19 @@
 //
 //	hurst [-svgdir DIR] [-jobs N] [-timeout D]
 //	      [-retries N] [-backoff D] [-task-timeout D] [-keep-going=BOOL]
-//	      [-cache-dir DIR] [-cache-tier memory|disk|tiered]
+//	      [-cache-dir DIR]
 //	      FILE.swf...
 //
-// Files are estimated in parallel (-jobs workers, -timeout per file),
-// and the same -jobs budget feeds the per-series estimator fan-out, so
-// total compute parallelism stays bounded; reports print in argument
-// order and — by default (-keep-going=true) —
-// a failing file does not stop the others; -keep-going=false makes the
-// first failure cancel the batch. -retries re-attempts a failing file
-// with deterministic backoff and -task-timeout bounds each attempt.
+// Files are estimated in parallel, one engine.Map task per file, under
+// the engine flags engine.Options.RegisterFlags declares for hurst,
+// coplot and experiments alike (-jobs workers, -timeout per file). The
+// same -jobs budget feeds the per-series estimator fan-out, so total
+// compute parallelism stays bounded; reports print in argument order
+// and — by default (-keep-going=true) — a failing file does not stop
+// the others; -keep-going=false makes the first failure cancel the
+// batch. -retries re-attempts a failing file with deterministic
+// backoff (-backoff sets its base delay) and -task-timeout bounds each
+// attempt.
 // With -svgdir, the three diagnostic plots (pox plot, variance-time
 // plot, periodogram) of each series are written as SVG files.
 //
@@ -39,7 +42,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"coplot/internal/engine"
 	"coplot/internal/obs"
@@ -58,16 +60,12 @@ func main() {
 // cleanups (profile flush, trace close) run before the process exits.
 func realMain() int {
 	svgDir := flag.String("svgdir", "", "write diagnostic plots as SVG under this directory")
-	jobs := flag.Int("jobs", 0, "worker budget: files estimated concurrently and estimator workers (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 0, "per-file time limit across all attempts (0 = none)")
-	retries := flag.Int("retries", 0, "retry a failing file up to N more times (0 = fail on first error)")
-	backoff := flag.Duration("backoff", 0, "base delay before the first retry, doubling per retry (0 = engine default)")
-	taskTimeout := flag.Duration("task-timeout", 0, "per-attempt time limit; a timed-out attempt is retried under -retries (0 = none)")
-	keepGoing := flag.Bool("keep-going", true, "report failing files and continue; false cancels the batch on first failure")
 	cacheDir := flag.String("cache-dir", "", "durable report cache directory; a file's rendered report is reused across invocations")
-	cacheTier := flag.String("cache-tier", "", "cache backend: memory, disk, or tiered (empty = tiered when -cache-dir is set, memory otherwise)")
 	manifestPath := flag.String("manifest", "", "write the run manifest to this file")
 	tracePath := flag.String("trace", "", "append engine events as JSON lines to this file")
+	// A failing file does not stop the others unless -keep-going=false.
+	opts := engine.Options{KeepGoing: true}
+	opts.RegisterFlags(flag.CommandLine)
 	var prof obs.Profile
 	prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -97,24 +95,17 @@ func realMain() int {
 		sinks = append(sinks, obs.NewTrace(f))
 	}
 	var cache store.Backend
-	if *cacheDir != "" || *cacheTier != "" {
-		cache, err = store.Open(*cacheDir, *cacheTier, nil)
+	if *cacheDir != "" {
+		cache, err = store.Open(*cacheDir, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hurst:", err)
 			return 1
 		}
 	}
-	reports := estimateAll(flag.Args(), *svgDir, estimateOptions{
-		jobs: *jobs, timeout: *timeout, attemptTimeout: *taskTimeout,
-		retries: *retries, backoff: *backoff, keepGoing: *keepGoing,
-		sink:  obs.Multi(sinks...),
-		cache: cache,
-		// One budget for the whole batch: file workers and the
-		// estimator fan-out inside each file draw from the same -jobs.
-		budget: par.NewBudget(*jobs),
-	})
+	opts.Sink = obs.Multi(sinks...)
+	reports := estimateAll(flag.Args(), *svgDir, cache, opts)
 	if *manifestPath != "" {
-		m := metrics.Manifest(obs.RunInfo{Tool: "hurst", Jobs: *jobs, Timeout: *timeout})
+		m := metrics.Manifest(obs.RunInfo{Tool: "hurst", Jobs: opts.Jobs, Timeout: opts.Timeout})
 		if err := m.WriteFile(*manifestPath); err != nil {
 			fmt.Fprintln(os.Stderr, "hurst: manifest:", err)
 			return 1
@@ -138,37 +129,20 @@ type report struct {
 	err  error
 }
 
-// estimateOptions carries the fan-out settings from the flags.
-type estimateOptions struct {
-	jobs           int
-	timeout        time.Duration
-	attemptTimeout time.Duration
-	retries        int
-	backoff        time.Duration
-	keepGoing      bool
-	sink           obs.Sink
-	cache          store.Backend // durable report cache; nil = none
-	budget         *par.Budget   // shared estimator workers, sized by jobs
-}
-
-// estimateAll runs estimate over the files on a bounded worker pool and
+// estimateAll runs estimate over the files through engine.Map and
 // returns the reports in argument order. Failures surface through the
-// engine — so they are retried under opts.retries and, with
-// opts.keepGoing, degrade instead of cancelling the batch — and come
-// back inside the per-file reports.
-func estimateAll(paths []string, svgDir string, eopts estimateOptions) []report {
-	opts := engine.MapOptions{
-		Workers: eopts.jobs, Timeout: eopts.timeout, AttemptTimeout: eopts.attemptTimeout,
-		KeepGoing: eopts.keepGoing, Sink: eopts.sink,
-		Label: func(i int) string { return paths[i] },
-	}
-	if eopts.retries > 0 {
-		opts.Retry = engine.RetryPolicy{MaxAttempts: eopts.retries + 1, BaseBackoff: eopts.backoff}
-	}
+// engine — so they are retried under opts.Retry and, with
+// opts.KeepGoing, degrade instead of cancelling the batch — and come
+// back inside the per-file reports. cache is the durable report cache
+// (nil = none).
+func estimateAll(paths []string, svgDir string, cache store.Backend, opts engine.Options) []report {
+	// One budget for the whole batch: file workers and the estimator
+	// fan-out inside each file draw from the same -jobs.
+	budget := par.NewBudget(opts.Jobs)
 	itemErrs := make([]error, len(paths)) // index i written only by its worker
-	reports, err := engine.Map(context.Background(), len(paths), opts,
+	reports, err := engine.Map(context.Background(), paths, opts,
 		func(ctx context.Context, i int) (report, error) {
-			text, err := estimate(ctx, paths[i], svgDir, eopts.cache, eopts.budget)
+			text, err := estimate(ctx, paths[i], svgDir, cache, budget)
 			itemErrs[i] = err
 			if err != nil {
 				return report{}, err

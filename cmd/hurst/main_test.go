@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"coplot/internal/engine"
 	"coplot/internal/models"
 	"coplot/internal/par"
 	"coplot/internal/rng"
@@ -63,7 +64,7 @@ func TestEstimateMissingFile(t *testing.T) {
 func TestEstimateAllContinuesPastErrors(t *testing.T) {
 	good := writeTestLog(t)
 	missing := filepath.Join(t.TempDir(), "none.swf")
-	reports := estimateAll([]string{good, missing, good}, "", estimateOptions{jobs: 2, keepGoing: true})
+	reports := estimateAll([]string{good, missing, good}, "", nil, engine.Options{Jobs: 2, KeepGoing: true})
 	if len(reports) != 3 {
 		t.Fatalf("reports = %d", len(reports))
 	}
@@ -80,8 +81,8 @@ func TestEstimateAllContinuesPastErrors(t *testing.T) {
 
 func TestEstimateAllParallelDeterministic(t *testing.T) {
 	paths := []string{writeTestLog(t), writeTestLog(t), writeTestLog(t)}
-	serial := estimateAll(paths, "", estimateOptions{jobs: 1, keepGoing: true})
-	parallel := estimateAll(paths, "", estimateOptions{jobs: 4, keepGoing: true})
+	serial := estimateAll(paths, "", nil, engine.Options{Jobs: 1, KeepGoing: true})
+	parallel := estimateAll(paths, "", nil, engine.Options{Jobs: 4, KeepGoing: true})
 	for i := range serial {
 		if serial[i].text != parallel[i].text {
 			t.Fatalf("report %d differs between jobs=1 and jobs=4", i)
@@ -96,7 +97,7 @@ func TestEstimateAllParallelDeterministic(t *testing.T) {
 func TestEstimateWarmCache(t *testing.T) {
 	path := writeTestLog(t)
 	dir := t.TempDir()
-	cache, err := store.Open(dir, "disk", nil)
+	cache, err := store.NewDisk(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestEstimateWarmCache(t *testing.T) {
 	}
 
 	// "Second invocation": reopen the cache directory from scratch.
-	cache2, err := store.Open(dir, "disk", nil)
+	cache2, err := store.NewDisk(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestEstimateWarmCache(t *testing.T) {
 	if warm != cold {
 		t.Fatal("cached report differs from computed report")
 	}
-	st := cache2.(store.StatsProvider).Stats()
+	st := cache2.Stats()
 	if st[0].Hits != 1 {
 		t.Fatalf("disk hits = %d, want 1", st[0].Hits)
 	}
@@ -135,7 +136,7 @@ func TestEstimateWarmCache(t *testing.T) {
 	if _, err := estimate(context.Background(), other, "", cache2, par.NewBudget(1)); err != nil {
 		t.Fatal(err)
 	}
-	st = cache2.(store.StatsProvider).Stats()
+	st = cache2.Stats()
 	if st[0].Misses == 0 {
 		t.Fatal("changed content should miss")
 	}

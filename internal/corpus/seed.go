@@ -10,7 +10,6 @@ package corpus
 
 import (
 	"bytes"
-	"fmt"
 
 	"coplot/internal/machine"
 	"coplot/internal/models"
@@ -33,41 +32,6 @@ const DefaultSeedJobs = 2000
 // whose nearest neighbor is known in advance.
 const seedGenSeed = 1
 
-// modelSeedNames are the five model observations, in Figure 4 order.
-var modelSeedNames = []string{"Feitelson96", "Feitelson97", "Downey", "Jann", "Lublin"}
-
-// modelSeedMachines assigns each model the machine its published fit
-// targets (the experiments layer uses the same mapping for Figure 4):
-// the Feitelson models and Downey reflect the earlier, smaller systems
-// (the NASA iPSC and the SDSC Paragon), Jann the CTC SP2, and Lublin a
-// mid-size system.
-func modelSeedMachines() map[string]machine.Machine {
-	return map[string]machine.Machine{
-		"Feitelson96": machine.NASA,
-		"Feitelson97": machine.NASA,
-		"Downey":      machine.SDSC,
-		"Jann":        machine.CTC,
-		"Lublin":      machine.LLNL,
-	}
-}
-
-// modelSeedGenerator builds the named model for procs processors.
-func modelSeedGenerator(name string, procs int) (models.Model, error) {
-	switch name {
-	case "Feitelson96":
-		return models.NewFeitelson96(procs), nil
-	case "Feitelson97":
-		return models.NewFeitelson97(procs), nil
-	case "Downey":
-		return models.NewDowney(procs), nil
-	case "Jann":
-		return models.NewJann(procs), nil
-	case "Lublin":
-		return models.NewLublin(procs), nil
-	}
-	return nil, fmt.Errorf("corpus: unknown seed model %q", name)
-}
-
 // SeedEntries generates the 15 built-in observations at the given log
 // length (0 = DefaultSeedJobs): the ten Table-1 production sites, each
 // on its own machine, then the five models on the machines their fits
@@ -89,15 +53,9 @@ func SeedEntries(jobs int) ([]*Entry, error) {
 		}
 		out = append(out, e)
 	}
-	machines := modelSeedMachines()
-	for _, name := range modelSeedNames {
-		m := machines[name]
-		gen, err := modelSeedGenerator(name, m.Procs)
-		if err != nil {
-			return nil, err
-		}
-		log := gen.Generate(rng.New(seedGenSeed), jobs)
-		e, err := entryFromLog(name, log, m)
+	for _, spec := range models.Paper {
+		log := spec.New(spec.Fit.Procs).Generate(rng.New(seedGenSeed), jobs)
+		e, err := entryFromLog(spec.Name, log, spec.Fit)
 		if err != nil {
 			return nil, err
 		}

@@ -61,6 +61,15 @@ func (r *recorder) find(kind obs.Kind, name string) (obs.Event, bool) {
 	return obs.Event{}, false
 }
 
+// items names n Map items "item-0" .. "item-(n-1)".
+func items(n int) []string {
+	labels := make([]string, n)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("item-%d", i)
+	}
+	return labels
+}
+
 // newReg builds a registry of trivial named tasks returning their name.
 func newReg(names map[string][]string) *engine.Registry[int] {
 	reg := engine.NewRegistry[int]()
@@ -291,9 +300,8 @@ func TestMapSiblingFailureKeepsItemLabel(t *testing.T) {
 	// report bare context.Canceled from the lowest cancelled index.
 	boom := errors.New("boom")
 	started := make(chan struct{})
-	_, err := engine.Map(context.Background(), 4, engine.MapOptions{
-		Workers: 4,
-		Label:   func(i int) string { return fmt.Sprintf("item-%d", i) },
+	_, err := engine.Map(context.Background(), items(4), engine.Options{
+		Jobs: 4,
 	}, func(ctx context.Context, i int) (int, error) {
 		if i == 3 {
 			<-started
@@ -321,11 +329,10 @@ func TestMapRetriesAndKeepGoing(t *testing.T) {
 		faultinject.Fault{Target: "item-1", Times: 1},
 		faultinject.Fault{Target: "item-2", Times: 99},
 	)
-	out, err := engine.Map(context.Background(), 4, engine.MapOptions{
-		Workers:   2,
+	out, err := engine.Map(context.Background(), items(4), engine.Options{
+		Jobs:      2,
 		KeepGoing: true,
 		Retry:     engine.RetryPolicy{MaxAttempts: 2, Sleep: instant},
-		Label:     func(i int) string { return fmt.Sprintf("item-%d", i) },
 	}, func(ctx context.Context, i int) (int, error) {
 		if err := sched.Fire(ctx, fmt.Sprintf("item-%d", i)); err != nil {
 			return 0, err
@@ -346,6 +353,73 @@ func TestMapRetriesAndKeepGoing(t *testing.T) {
 		if out[i] != v {
 			t.Fatalf("out = %v, want %v", out, want)
 		}
+	}
+}
+
+// TestMapMatchesEdgeFreeRun runs one fault schedule through a Run of
+// tasks without dependency edges and through Map: both go through the
+// one scheduler, so they report the same DegradedError (keep-going) or
+// the same labeled root error (fail-fast).
+func TestMapMatchesEdgeFreeRun(t *testing.T) {
+	labels := []string{"a", "b", "c", "d", "e"}
+	faults := []faultinject.Fault{
+		{Target: "b", Times: 1},  // recovers on its retry
+		{Target: "c", Times: 99}, // exhausts its retry budget
+		{Target: "e", Kind: faultinject.KindPanic, Times: 99},
+	}
+	tasks := map[string][]string{}
+	for _, l := range labels {
+		tasks[l] = nil
+	}
+	both := func(opts engine.Options) (run []engine.Result, runErr error, mapped []any, mapErr error) {
+		reg := faultinject.Wrap(faultinject.New(faults...), newReg(tasks))
+		run, runErr = engine.Run(context.Background(), reg, labels, 0, opts)
+		sched := faultinject.New(faults...)
+		mapped, mapErr = engine.Map(context.Background(), labels, opts, func(ctx context.Context, i int) (any, error) {
+			if err := sched.Fire(ctx, labels[i]); err != nil {
+				return nil, err
+			}
+			return labels[i], nil
+		})
+		return run, runErr, mapped, mapErr
+	}
+
+	opts := engine.Options{Jobs: 2, KeepGoing: true, Retry: engine.RetryPolicy{MaxAttempts: 2, Sleep: instant}}
+	run, runErr, mapped, mapErr := both(opts)
+	var runDeg, mapDeg *engine.DegradedError
+	if !errors.As(runErr, &runDeg) || !errors.As(mapErr, &mapDeg) {
+		t.Fatalf("errors = %v / %v, want two *DegradedError", runErr, mapErr)
+	}
+	if got, want := strings.Join(mapDeg.Failed, ","), "c,e"; got != want || strings.Join(runDeg.Failed, ",") != want {
+		t.Fatalf("failed: run %v, map %v, want %s", runDeg.Failed, mapDeg.Failed, want)
+	}
+	if runDeg.Error() != mapDeg.Error() || len(runDeg.Skipped)+len(mapDeg.Skipped) != 0 {
+		t.Fatalf("degraded errors differ:\nrun %v\nmap %v", runDeg, mapDeg)
+	}
+	for i := range runDeg.Errs {
+		if runDeg.Errs[i].Error() != mapDeg.Errs[i].Error() {
+			t.Fatalf("failure %d differs: run %v, map %v", i, runDeg.Errs[i], mapDeg.Errs[i])
+		}
+	}
+	var pe *engine.PanicError
+	if !errors.As(mapDeg.Errs[1], &pe) || pe.Task != "e" {
+		t.Fatalf("panic not contained as e's task error: %v", mapDeg.Errs[1])
+	}
+	for i, r := range run {
+		if r.Value != mapped[i] {
+			t.Fatalf("value %d: run %v, map %v", i, r.Value, mapped[i])
+		}
+	}
+
+	// Fail-fast on one worker: the same root error, labeled the same.
+	opts = engine.Options{Jobs: 1, Retry: engine.RetryPolicy{MaxAttempts: 2, Sleep: instant}}
+	faults = faults[:2]
+	_, runErr, _, mapErr = both(opts)
+	if !errors.Is(runErr, faultinject.ErrInjected) || runErr.Error() != mapErr.Error() {
+		t.Fatalf("fail-fast errors differ: run %v, map %v", runErr, mapErr)
+	}
+	if !strings.Contains(mapErr.Error(), "engine: c:") {
+		t.Fatalf("root error lost its label: %v", mapErr)
 	}
 }
 

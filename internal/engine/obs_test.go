@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -162,8 +161,8 @@ func TestManifestDeterministicAcrossSerialRuns(t *testing.T) {
 func TestMapEmitsEvents(t *testing.T) {
 	rec := &recorder{}
 	paths := []string{"a.swf", "b.swf", "c.swf"}
-	opts := MapOptions{Workers: 2, Sink: rec, Label: func(i int) string { return paths[i] }}
-	_, err := Map(context.Background(), len(paths), opts, func(ctx context.Context, i int) (int, error) {
+	opts := Options{Jobs: 2, Sink: rec}
+	_, err := Map(context.Background(), paths, opts, func(ctx context.Context, i int) (int, error) {
 		return i, nil
 	})
 	if err != nil {
@@ -184,23 +183,5 @@ func TestMapEmitsEvents(t *testing.T) {
 	}
 	if len(kinds[obs.KindPoolSample]) != 6 {
 		t.Fatalf("pool samples = %d, want 6", len(kinds[obs.KindPoolSample]))
-	}
-}
-
-func TestMapDefaultLabels(t *testing.T) {
-	rec := &recorder{}
-	_, err := Map(context.Background(), 2, MapOptions{Workers: 1, Sink: rec},
-		func(ctx context.Context, i int) (int, error) { return i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for _, e := range rec.byKind()[obs.KindTaskStart] {
-		seen[e.Name] = true
-	}
-	for i := 0; i < 2; i++ {
-		if !seen[fmt.Sprintf("#%d", i)] {
-			t.Fatalf("default label #%d missing (have %v)", i, seen)
-		}
 	}
 }

@@ -185,23 +185,21 @@ func (d *DegradedError) summary() string {
 // Do runs one anonymous task under the engine's attempt machinery —
 // panic protection (*PanicError), the retry policy's deterministic
 // backoff, and an optional per-attempt timeout — without a registry or
-// DAG. It is the single-task form of the runner's attempt loop, built
-// for callers like the serving layer that need the engine's failure
-// semantics around an ad-hoc computation: task.retry/task.giveup
-// events flow into sink exactly as they would for a registered
-// experiment.
+// scheduler. It is the single-task form of the scheduler's attempt
+// loop, built for callers like the serving layer that need the
+// engine's failure semantics around an ad-hoc computation:
+// task.retry/task.giveup events flow into sink exactly as they would
+// for a registered experiment.
 func Do(ctx context.Context, name string, pol RetryPolicy, attemptTimeout time.Duration, sink obs.Sink, fn func(context.Context) (any, error)) (any, error) {
-	return runAttempts(ctx, name,
-		func(ctx context.Context, _ struct{}) (any, error) { return fn(ctx) },
-		struct{}{}, pol, attemptTimeout, sink)
+	return runAttempts(ctx, name, pol, attemptTimeout, sink, fn)
 }
 
 // protect runs fn, converting a panic into a *PanicError for task.
-func protect[E any](task string, fn RunFunc[E], ctx context.Context, env E) (v any, err error) {
+func protect(task string, fn func(context.Context) (any, error), ctx context.Context) (v any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Task: task, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return fn(ctx, env)
+	return fn(ctx)
 }

@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,13 +14,14 @@ import (
 	"coplot/internal/obs"
 )
 
-// Options configure one engine run.
+// Options configure one engine run. The CLIs bind the engine flags onto
+// it with RegisterFlags and pass it through unchanged.
 type Options struct {
-	// Jobs bounds how many experiments execute concurrently.
+	// Jobs bounds how many tasks execute concurrently.
 	// Zero or negative means GOMAXPROCS.
 	Jobs int
-	// Timeout is the wall-clock budget of each experiment across all of
-	// its attempts (its dependencies have their own budgets). Zero means
+	// Timeout is the wall-clock budget of each task across all of its
+	// attempts (its dependencies have their own budgets). Zero means
 	// no limit.
 	Timeout time.Duration
 	// AttemptTimeout bounds each individual attempt; a timed-out attempt
@@ -29,8 +32,8 @@ type Options struct {
 	// exactly once.
 	Retry RetryPolicy
 	// KeepGoing keeps the run alive after a task fails: the failure is
-	// recorded, dependents are skipped, independent subgraphs run to
-	// completion, and Run returns the partial results alongside a
+	// recorded, dependents are skipped, independent tasks run to
+	// completion, and the run returns the partial results alongside a
 	// *DegradedError. False preserves fail-fast: the first failure
 	// cancels everything in flight.
 	KeepGoing bool
@@ -40,24 +43,58 @@ type Options struct {
 	Sink obs.Sink
 }
 
-// Result is one experiment's outcome.
+// RegisterFlags binds the six engine flags onto fs (pass
+// flag.CommandLine for the global set): -jobs, -timeout, -task-timeout,
+// -retries (N more attempts, so Retry.MaxAttempts = N+1), -backoff
+// (Retry.BaseBackoff) and -keep-going. Each flag's default is o's value
+// at registration, so a command that keeps going by default sets
+// KeepGoing before registering.
+func (o *Options) RegisterFlags(fs *flag.FlagSet) {
+	fs.IntVar(&o.Jobs, "jobs", o.Jobs, "worker budget: concurrent tasks and the kernel workers inside them (0 = GOMAXPROCS)")
+	fs.DurationVar(&o.Timeout, "timeout", o.Timeout, "per-task time limit across all attempts (0 = none)")
+	fs.DurationVar(&o.AttemptTimeout, "task-timeout", o.AttemptTimeout, "per-attempt time limit; a timed-out attempt is retried under -retries (0 = none)")
+	fs.Var((*retries)(&o.Retry), "retries", "retry a failing task up to `N` more times (0 = fail on first error)")
+	fs.DurationVar(&o.Retry.BaseBackoff, "backoff", o.Retry.BaseBackoff, "base delay before the first retry, doubling per retry (0 = engine default)")
+	fs.BoolVar(&o.KeepGoing, "keep-going", o.KeepGoing, "record a failing task and finish the others, then exit non-zero; false cancels the run at the first failure")
+}
+
+// retries is the -retries flag's view of a RetryPolicy: N further
+// attempts after the first.
+type retries RetryPolicy
+
+// String implements flag.Value.
+func (r *retries) String() string {
+	return strconv.Itoa(max(r.MaxAttempts-1, 0))
+}
+
+// Set implements flag.Value.
+func (r *retries) Set(s string) error {
+	n, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	if err != nil {
+		return errors.New("parse error")
+	}
+	r.MaxAttempts = int(n) + 1
+	return nil
+}
+
+// Result is one task's outcome.
 type Result struct {
-	// Name is the experiment's registered name.
+	// Name is the task's name.
 	Name string
 	// Value is whatever the run function returned.
 	Value any
-	// Err is the experiment's failure, or nil.
+	// Err is the task's failure, or nil.
 	Err error
 	// Elapsed is the run function's wall-clock time.
 	Elapsed time.Duration
 }
 
-// task is the runtime state of one scheduled experiment.
-type task[E any] struct {
-	name string
-	spec *spec[E]
-	deps []*task[E]
-	done chan struct{} // closed once value/err are final
+// task is one unit the scheduler runs: a named attempt function and
+// the tasks that must succeed before it starts.
+type task struct {
+	deps []*task
+	run  func(ctx context.Context) (any, error)
+	done chan struct{} // closed once res is final
 	res  Result
 }
 
@@ -72,54 +109,120 @@ type task[E any] struct {
 // names only, in request order, regardless of completion order, so
 // parallel runs are drop-in replacements for serial ones.
 func Run[E any](ctx context.Context, reg *Registry[E], names []string, env E, opts Options) ([]Result, error) {
-	reg.mu.RLock()
-	// Resolve the requested names and expand the dependency closure.
-	for _, name := range names {
-		if _, ok := reg.specs[name]; !ok {
-			reg.mu.RUnlock()
-			return nil, fmt.Errorf("engine: unknown experiment %q", name)
-		}
-	}
-	if err := reg.checkCycles(names); err != nil {
-		reg.mu.RUnlock()
+	tasks, byName, err := reg.resolve(names, env)
+	if err != nil {
 		return nil, err
 	}
-	tasks := map[string]*task[E]{}
-	var order []*task[E] // dependency-closed, dependencies before dependents
-	var expand func(name string) (*task[E], error)
-	expand = func(name string) (*task[E], error) {
-		if t, ok := tasks[name]; ok {
+	err = schedule(ctx, tasks, poolSize(opts.Jobs), opts)
+	if _, degraded := err.(*DegradedError); err != nil && !degraded {
+		return nil, err
+	}
+	out := make([]Result, len(names))
+	for i, name := range names {
+		out[i] = byName[name].res
+	}
+	return out, err
+}
+
+// Map runs fn once per label and returns the values in label order,
+// regardless of completion order. Each label is one task of a Run
+// without dependency edges, on min(opts.Jobs, len(labels)) workers, so
+// timeouts, retries, keep-going, events and failure classification are
+// Run's: by default the first failure cancels the rest and comes back
+// labeled; with Options.KeepGoing every item is attempted and Map
+// returns the partial results (zero values for the failed items)
+// together with a *DegradedError.
+//
+// The CLIs use Map to fan out per-file work (parsing logs, estimating
+// Hurst parameters), labeling each item with its file path.
+func Map[T any](ctx context.Context, labels []string, opts Options, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	if len(labels) == 0 {
+		return nil, ctx.Err()
+	}
+	tasks := make([]*task, len(labels))
+	for i, label := range labels {
+		tasks[i] = &task{res: Result{Name: label}, run: func(ctx context.Context) (any, error) {
+			return fn(ctx, i)
+		}}
+	}
+	err := schedule(ctx, tasks, min(poolSize(opts.Jobs), len(labels)), opts)
+	if _, degraded := err.(*DegradedError); err != nil && !degraded {
+		return nil, err
+	}
+	out := make([]T, len(labels))
+	for i, t := range tasks {
+		if v, ok := t.res.Value.(T); ok {
+			out[i] = v // a nil any (interface-typed T) keeps the zero value
+		}
+	}
+	return out, err
+}
+
+// poolSize resolves a Jobs setting: zero or negative means GOMAXPROCS.
+func poolSize(jobs int) int {
+	if jobs <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return jobs
+}
+
+// resolve expands names and their transitive dependencies into tasks
+// bound to env, every dependency before its dependents; byName maps
+// each resolved name to its task.
+func (r *Registry[E]) resolve(names []string, env E) (tasks []*task, byName map[string]*task, err error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, name := range names {
+		if _, ok := r.specs[name]; !ok {
+			return nil, nil, fmt.Errorf("engine: unknown experiment %q", name)
+		}
+	}
+	if err := r.checkCycles(names); err != nil {
+		return nil, nil, err
+	}
+	byName = map[string]*task{}
+	var expand func(name string) (*task, error)
+	expand = func(name string) (*task, error) {
+		if t, ok := byName[name]; ok {
 			return t, nil
 		}
-		s, ok := reg.specs[name]
-		if !ok {
-			return nil, fmt.Errorf("engine: experiment %q depends on unknown %q", name, name)
-		}
-		t := &task[E]{name: name, spec: s, done: make(chan struct{})}
-		t.res.Name = name
-		tasks[name] = t // placed before recursing; cycles were excluded above
+		s := r.specs[name]
+		t := &task{res: Result{Name: name}, run: func(ctx context.Context) (any, error) {
+			return s.run(ctx, env)
+		}}
+		byName[name] = t // placed before recursing; cycles were excluded above
 		for _, d := range s.deps {
+			if _, ok := r.specs[d]; !ok {
+				return nil, fmt.Errorf("engine: experiment %q depends on unknown %q", name, d)
+			}
 			dt, err := expand(d)
 			if err != nil {
-				return nil, fmt.Errorf("engine: resolving %q: %w", name, err)
+				return nil, err
 			}
 			t.deps = append(t.deps, dt)
 		}
-		order = append(order, t)
+		tasks = append(tasks, t)
 		return t, nil
 	}
 	for _, name := range names {
 		if _, err := expand(name); err != nil {
-			reg.mu.RUnlock()
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	reg.mu.RUnlock()
+	return tasks, byName, nil
+}
 
-	workers := opts.Jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// schedule is the engine's one scheduling loop. It runs tasks — every
+// dependency listed before its dependents — on at most workers
+// concurrent slots: a task waits for its dependencies (and is skipped
+// if one failed), takes a slot, runs its attempts under the per-task
+// timeout, and by default cancels the run on failure. It then
+// classifies the failures deterministically in task order: genuine
+// root failures, skipped dependents, and cancellation ripples from
+// another task's failure. It returns nil, a *DegradedError (keep-going
+// with failures), or the first root failure labeled with its task
+// name; every task's res is final either way.
+func schedule(ctx context.Context, tasks []*task, workers int, opts Options) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	slots := make(chan struct{}, workers)
@@ -128,25 +231,31 @@ func Run[E any](ctx context.Context, reg *Registry[E], names []string, env E, op
 	runStart := time.Now()
 	obs.Emit(sink, obs.Event{Kind: obs.KindRunStart, Capacity: workers})
 
+	for _, t := range tasks {
+		t.done = make(chan struct{})
+	}
 	var wg sync.WaitGroup
-	for _, t := range order {
+	for _, t := range tasks {
 		wg.Add(1)
-		go func(t *task[E]) {
+		go func(t *task) {
 			defer wg.Done()
 			defer close(t.done)
+			name := t.res.Name
+			var deps []string
 			for _, d := range t.deps {
 				<-d.done
 				if d.res.Err != nil {
-					t.res.Err = &skipDep{fmt.Errorf("engine: %s skipped: dependency %s failed: %w", t.name, d.name, d.res.Err)}
-					obs.Emit(sink, obs.Event{Kind: obs.KindTaskSkip, Name: t.name, Err: t.res.Err.Error(), Reason: obs.SkipReasonUpstreamFailed})
+					t.res.Err = &skipDep{fmt.Errorf("engine: %s skipped: dependency %s failed: %w", name, d.res.Name, d.res.Err)}
+					obs.Emit(sink, obs.Event{Kind: obs.KindTaskSkip, Name: name, Err: t.res.Err.Error(), Reason: obs.SkipReasonUpstreamFailed})
 					return
 				}
+				deps = append(deps, d.res.Name)
 			}
 			select {
 			case slots <- struct{}{}:
 			case <-runCtx.Done():
 				t.res.Err = runCtx.Err()
-				obs.Emit(sink, obs.Event{Kind: obs.KindTaskCancel, Name: t.name, Err: t.res.Err.Error()})
+				obs.Emit(sink, obs.Event{Kind: obs.KindTaskCancel, Name: name, Err: t.res.Err.Error()})
 				return
 			}
 			obs.Emit(sink, obs.Event{Kind: obs.KindPoolSample, InUse: int(occupancy.Add(1)), Capacity: workers})
@@ -156,7 +265,7 @@ func Run[E any](ctx context.Context, reg *Registry[E], names []string, env E, op
 			}()
 			if err := runCtx.Err(); err != nil {
 				t.res.Err = err
-				obs.Emit(sink, obs.Event{Kind: obs.KindTaskCancel, Name: t.name, Err: err.Error()})
+				obs.Emit(sink, obs.Event{Kind: obs.KindTaskCancel, Name: name, Err: err.Error()})
 				return
 			}
 			tctx := runCtx
@@ -165,30 +274,26 @@ func Run[E any](ctx context.Context, reg *Registry[E], names []string, env E, op
 				tctx, tcancel = context.WithTimeout(runCtx, opts.Timeout)
 				defer tcancel()
 			}
-			obs.Emit(sink, obs.Event{Kind: obs.KindTaskStart, Name: t.name, Deps: t.spec.deps})
+			obs.Emit(sink, obs.Event{Kind: obs.KindTaskStart, Name: name, Deps: deps})
 			start := time.Now()
-			t.res.Value, t.res.Err = runAttempts(tctx, t.name, t.spec.run, env, opts.Retry, opts.AttemptTimeout, sink)
+			t.res.Value, t.res.Err = runAttempts(tctx, name, opts.Retry, opts.AttemptTimeout, sink, t.run)
 			t.res.Elapsed = time.Since(start)
-			fin := obs.Event{Kind: obs.KindTaskFinish, Name: t.name, Elapsed: t.res.Elapsed}
+			fin := obs.Event{Kind: obs.KindTaskFinish, Name: name, Elapsed: t.res.Elapsed}
 			if t.res.Err != nil {
 				fin.Err = t.res.Err.Error()
 			}
 			obs.Emit(sink, fin)
 			if t.res.Err != nil && !opts.KeepGoing {
-				cancel() // first failure stops the rest of the DAG
+				cancel() // first failure stops the rest of the run
 			}
 		}(t)
 	}
 	wg.Wait()
 
-	// Classify every failure deterministically in topological order:
-	// genuine root failures, skipped dependents, and cancellation
-	// ripples from another task's failure.
 	var firstErr, rootErr error
 	var rootName string
-	var failed, skipped []string
-	var failedErrs []error
-	for _, t := range order {
+	var deg DegradedError
+	for _, t := range tasks {
 		err := t.res.Err
 		if err == nil {
 			continue
@@ -197,43 +302,29 @@ func Run[E any](ctx context.Context, reg *Registry[E], names []string, env E, op
 			firstErr = err
 		}
 		if isSkip(err) {
-			skipped = append(skipped, t.name)
+			deg.Skipped = append(deg.Skipped, t.res.Name)
 			continue
 		}
 		if errors.Is(err, context.Canceled) && ctx.Err() == nil {
 			continue // ripple from a sibling's failure, not a root cause
 		}
 		if rootErr == nil {
-			rootErr, rootName = err, t.name
+			rootErr, rootName = err, t.res.Name
 		}
-		failed = append(failed, t.name)
-		failedErrs = append(failedErrs, err)
+		deg.Failed = append(deg.Failed, t.res.Name)
+		deg.Errs = append(deg.Errs, err)
 	}
 
-	if opts.KeepGoing && ctx.Err() == nil && len(failed) > 0 {
-		deg := &DegradedError{Failed: failed, Skipped: skipped, Errs: failedErrs}
-		obs.Emit(sink, obs.Event{Kind: obs.KindRunDegraded, Failed: len(failed), Skipped: len(skipped), Err: deg.summary()})
+	if opts.KeepGoing && ctx.Err() == nil && len(deg.Failed) > 0 {
+		obs.Emit(sink, obs.Event{Kind: obs.KindRunDegraded, Failed: len(deg.Failed), Skipped: len(deg.Skipped), Err: deg.summary()})
 		obs.Emit(sink, obs.Event{Kind: obs.KindRunFinish, Elapsed: time.Since(runStart)})
-		out := make([]Result, len(names))
-		for i, name := range names {
-			out[i] = tasks[name].res
-		}
-		return out, deg
+		return &deg
 	}
 	obs.Emit(sink, obs.Event{Kind: obs.KindRunFinish, Elapsed: time.Since(runStart)})
-
 	if rootErr != nil {
-		return nil, labelErr(rootName, rootErr)
+		return labelErr(rootName, rootErr)
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	out := make([]Result, len(names))
-	for i, name := range names {
-		out[i] = tasks[name].res
-	}
-	return out, nil
+	return firstErr
 }
 
 // runAttempts executes one task's run function under the retry policy:
@@ -242,7 +333,7 @@ func Run[E any](ctx context.Context, reg *Registry[E], names []string, env E, op
 // tries again until the policy's budget, the classification, or the
 // surrounding context stops it. task.retry is emitted per retried
 // attempt and task.giveup once a retried task exhausts its budget.
-func runAttempts[E any](ctx context.Context, name string, run RunFunc[E], env E, pol RetryPolicy, attemptTimeout time.Duration, sink obs.Sink) (any, error) {
+func runAttempts(ctx context.Context, name string, pol RetryPolicy, attemptTimeout time.Duration, sink obs.Sink, run func(context.Context) (any, error)) (any, error) {
 	pol = pol.withDefaults()
 	for attempt := 1; ; attempt++ {
 		actx := ctx
@@ -250,7 +341,7 @@ func runAttempts[E any](ctx context.Context, name string, run RunFunc[E], env E,
 		if attemptTimeout > 0 {
 			actx, acancel = context.WithTimeout(ctx, attemptTimeout)
 		}
-		v, err := protect(name, run, actx, env)
+		v, err := protect(name, run, actx)
 		if err == nil && actx.Err() != nil {
 			// A run function that swallowed its timeout or cancellation
 			// still must not report success.

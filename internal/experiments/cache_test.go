@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"coplot/internal/engine"
 	"coplot/internal/store"
 )
 
@@ -20,27 +21,27 @@ func TestRunWarmCache(t *testing.T) {
 	cfg := cacheTestConfig()
 	ctx := context.Background()
 
-	cache, err := store.Open(dir, "disk", OutputCodec{})
+	cache, err := store.NewDisk(dir, OutputCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Run(ctx, "table1", cfg, RunOptions{Jobs: 2, Cache: cache})
+	cold, err := Run(ctx, "table1", cfg, RunOptions{Options: engine.Options{Jobs: 2}, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cache2, err := store.Open(dir, "disk", OutputCodec{})
+	cache2, err := store.NewDisk(dir, OutputCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Run(ctx, "table1", cfg, RunOptions{Jobs: 2, Cache: cache2})
+	warm, err := Run(ctx, "table1", cfg, RunOptions{Options: engine.Options{Jobs: 2}, Cache: cache2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Text != cold.Text || warm.Name != cold.Name || len(warm.Checks) != len(cold.Checks) {
 		t.Fatal("cached output differs from computed output")
 	}
-	st := cache2.(store.StatsProvider).Stats()
+	st := cache2.Stats()
 	if st[0].Hits != 1 {
 		t.Fatalf("disk hits = %d, want 1", st[0].Hits)
 	}

@@ -293,7 +293,6 @@ func ParametricRoundTrip(ctx context.Context, env *Env) (*FigureResult, error) {
 // marginal statistics — the "new model" section 9 calls for.
 func SelfSimilarModels(ctx context.Context, env *Env) (*Output, error) {
 	cfg := env.Cfg
-	machines := modelMachines()
 	var b strings.Builder
 	b.WriteString("Self-similarity injection (section 9 extension)\n")
 	fmt.Fprintf(&b, "%-16s %10s %10s %10s %10s\n", "model",
@@ -305,18 +304,8 @@ func SelfSimilarModels(ctx context.Context, env *Env) (*Output, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		procs := machines[name].Procs
-		var base models.Model
-		switch name {
-		case "Feitelson96":
-			base = models.NewFeitelson96(procs)
-		case "Downey":
-			base = models.NewDowney(procs)
-		case "Jann":
-			base = models.NewJann(procs)
-		case "Lublin":
-			base = models.NewLublin(procs)
-		}
+		spec, _ := models.Lookup(name)
+		base := spec.New(spec.Fit.Procs)
 		seed := cfg.Seed + uint64(i+1)*131
 		plain := base.Generate(rng.New(seed), cfg.ModelJobs)
 		wrapped := models.NewSelfSimilar(base, 0.85).Generate(rng.New(seed), cfg.ModelJobs)

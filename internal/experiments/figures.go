@@ -9,7 +9,6 @@ import (
 
 	"coplot/internal/core"
 	"coplot/internal/engine"
-	"coplot/internal/machine"
 	"coplot/internal/models"
 	"coplot/internal/rng"
 	"coplot/internal/swf"
@@ -363,20 +362,6 @@ var fig4Vars = []string{
 	workload.VarInterArrMedian, workload.VarInterArrInterval,
 }
 
-// modelMachines assigns each model the machine its published fit targets:
-// the Feitelson models and Downey reflect the earlier, smaller systems
-// (the NASA 128-node iPSC and the SDSC Paragon), Jann the 512-node CTC
-// SP2, and Lublin a mid-size system.
-func modelMachines() map[string]machine.Machine {
-	return map[string]machine.Machine{
-		"Feitelson96": machine.NASA,
-		"Feitelson97": machine.NASA,
-		"Downey":      machine.SDSC,
-		"Jann":        machine.CTC,
-		"Lublin":      machine.LLNL,
-	}
-}
-
 // modelLogsArtifact bundles the generated model logs with their fixed
 // ordering so the pair can live under one store key.
 type modelLogsArtifact struct {
@@ -393,26 +378,12 @@ func ModelLogs(ctx context.Context, env *Env) (map[string]*swf.Log, []string, er
 			return modelLogsArtifact{}, err
 		}
 		cfg := env.Cfg
-		machines := modelMachines()
-		names := []string{"Feitelson96", "Feitelson97", "Downey", "Jann", "Lublin"}
+		var names []string
 		logs := map[string]*swf.Log{}
-		for i, name := range names {
-			procs := machines[name].Procs
-			var gen models.Model
-			switch name {
-			case "Feitelson96":
-				gen = models.NewFeitelson96(procs)
-			case "Feitelson97":
-				gen = models.NewFeitelson97(procs)
-			case "Downey":
-				gen = models.NewDowney(procs)
-			case "Jann":
-				gen = models.NewJann(procs)
-			case "Lublin":
-				gen = models.NewLublin(procs)
-			}
+		for i, spec := range models.Paper {
 			r := rng.New(cfg.Seed + uint64(i+1)*0x9e3779b97f4a7c15)
-			logs[name] = gen.Generate(r, cfg.ModelJobs)
+			logs[spec.Name] = spec.New(spec.Fit.Procs).Generate(r, cfg.ModelJobs)
+			names = append(names, spec.Name)
 		}
 		return modelLogsArtifact{Logs: logs, Names: names}, nil
 	})
@@ -438,14 +409,13 @@ func figure4From(ctx context.Context, env *Env, t1 *TableResult) (*FigureResult,
 	if err != nil {
 		return nil, err
 	}
-	machines := modelMachines()
 	rows := []workload.Variables{}
 	prodDs, err := datasetFromTable(t1.Table, fig4Vars)
 	if err != nil {
 		return nil, err
 	}
-	for _, name := range modelNames {
-		v, err := workload.Compute(name, modelLogs[name], machines[name])
+	for _, spec := range models.Paper {
+		v, err := workload.Compute(spec.Name, modelLogs[spec.Name], spec.Fit)
 		if err != nil {
 			return nil, err
 		}

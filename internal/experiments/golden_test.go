@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"coplot/internal/engine"
 )
 
 // TestGoldenOutputs regenerates every committed artifact in out/ through
@@ -20,7 +22,7 @@ func TestGoldenOutputs(t *testing.T) {
 	if _, err := os.Stat(goldenDir); err != nil {
 		t.Skipf("no committed artifacts: %v", err)
 	}
-	outs, err := RunAll(context.Background(), Config{}, RunOptions{Jobs: 4})
+	outs, err := RunAll(context.Background(), Config{}, RunOptions{Options: engine.Options{Jobs: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"coplot/internal/engine"
 )
 
 // smallCfg keeps the parallel-equivalence suite quick: the point is the
@@ -19,11 +21,11 @@ func smallCfg() Config {
 // bytes the serial run produces.
 func TestRunAllParallelByteIdentical(t *testing.T) {
 	ctx := context.Background()
-	serial, err := RunAll(ctx, smallCfg(), RunOptions{Jobs: 1})
+	serial, err := RunAll(ctx, smallCfg(), RunOptions{Options: engine.Options{Jobs: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunAll(ctx, smallCfg(), RunOptions{Jobs: 4})
+	parallel, err := RunAll(ctx, smallCfg(), RunOptions{Options: engine.Options{Jobs: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestRunAllParallelByteIdentical(t *testing.T) {
 // the same bytes as the same experiment inside the full suite.
 func TestRunSingleMatchesRunAll(t *testing.T) {
 	ctx := context.Background()
-	all, err := RunAll(ctx, smallCfg(), RunOptions{Jobs: 2})
+	all, err := RunAll(ctx, smallCfg(), RunOptions{Options: engine.Options{Jobs: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestRunSingleMatchesRunAll(t *testing.T) {
 // TestRunRespectsTimeout exercises the per-experiment deadline through
 // the public API.
 func TestRunRespectsTimeout(t *testing.T) {
-	_, err := Run(context.Background(), "paper", smallCfg(), RunOptions{Timeout: time.Nanosecond})
+	_, err := Run(context.Background(), "paper", smallCfg(), RunOptions{Options: engine.Options{Timeout: time.Nanosecond}})
 	if err == nil {
 		t.Fatal("nanosecond timeout not enforced")
 	}
@@ -81,7 +83,7 @@ func TestRunRespectsTimeout(t *testing.T) {
 func TestRunCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunAll(ctx, smallCfg(), RunOptions{Jobs: 2}); err == nil {
+	if _, err := RunAll(ctx, smallCfg(), RunOptions{Options: engine.Options{Jobs: 2}}); err == nil {
 		t.Fatal("cancelled context not honored")
 	}
 }

@@ -10,11 +10,9 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"time"
 
 	"coplot/internal/engine"
 	"coplot/internal/faultinject"
-	"coplot/internal/obs"
 	"coplot/internal/par"
 	"coplot/internal/rng"
 	"coplot/internal/store"
@@ -166,31 +164,15 @@ func Names() []string { return registry.Names() }
 // Deps exposes the dependency edges of one experiment.
 func Deps(name string) ([]string, error) { return registry.Deps(name) }
 
-// RunOptions configure engine execution.
+// RunOptions configure engine execution: the engine's run options
+// (cmd/experiments binds them with engine.Options.RegisterFlags) plus
+// the suite's fault injection and durable cache. Jobs also sizes the
+// shared kernel worker budget (Config.Par) the SSA multi-starts and
+// Hurst estimator fan-outs draw from; any value produces byte-identical
+// outputs. Retry backoff jitter is derived from the run seed unless
+// Retry.Seed is set. Observability (Sink) never alters the outputs.
 type RunOptions struct {
-	// Jobs bounds the run's compute parallelism (<=0 means GOMAXPROCS):
-	// it caps how many experiments run concurrently AND sizes the shared
-	// kernel worker budget (Config.Par) the SSA multi-starts and Hurst
-	// estimator fan-outs draw from. Any value produces byte-identical
-	// outputs.
-	Jobs int
-	// Timeout limits each experiment's wall-clock time across all of
-	// its attempts (0 = none).
-	Timeout time.Duration
-	// AttemptTimeout limits each individual attempt; a timed-out
-	// attempt counts against Retries (0 = none).
-	AttemptTimeout time.Duration
-	// Retries is how many times a failing experiment is re-attempted
-	// beyond its first try (0 = fail on first error). Backoff jitter is
-	// derived deterministically from the run seed.
-	Retries int
-	// Backoff is the base delay before the first retry, doubling per
-	// further retry (0 = the engine default).
-	Backoff time.Duration
-	// KeepGoing records failures and skips their dependents while
-	// independent experiments complete; the run then returns the
-	// partial outputs together with an *engine.DegradedError.
-	KeepGoing bool
+	engine.Options
 	// Inject is an optional fault-injection schedule spliced around the
 	// registered experiments (nil = no injection). Used by tests and
 	// the -inject CLI flag to exercise failure paths deterministically.
@@ -203,10 +185,6 @@ type RunOptions struct {
 	// outputs are cached; the cache is ignored while Inject is active,
 	// so fault campaigns always execute for real. Nil disables caching.
 	Cache store.Backend
-	// Sink observes the run: experiment and artifact-store events flow
-	// to it (nil = no observation). Observability never alters the
-	// experiment outputs, only describes how they were produced.
-	Sink obs.Sink
 }
 
 // Run executes one named experiment — and, first, its dependencies —
@@ -271,19 +249,9 @@ func runNames(ctx context.Context, names []string, cfg Config, opts RunOptions) 
 	} else if opts.Cache != nil {
 		reg = reg.Wrapped(cacheWrap(opts.Cache, cfg))
 	}
-	eopts := engine.Options{
-		Jobs:           opts.Jobs,
-		Timeout:        opts.Timeout,
-		AttemptTimeout: opts.AttemptTimeout,
-		KeepGoing:      opts.KeepGoing,
-		Sink:           opts.Sink,
-	}
-	if opts.Retries > 0 {
-		eopts.Retry = engine.RetryPolicy{
-			MaxAttempts: opts.Retries + 1,
-			BaseBackoff: opts.Backoff,
-			Seed:        rng.Derive(cfg.WithDefaults().Seed, "engine:backoff"),
-		}
+	eopts := opts.Options
+	if eopts.Retry.Seed == 0 {
+		eopts.Retry.Seed = rng.Derive(cfg.WithDefaults().Seed, "engine:backoff")
 	}
 	results, err := engine.Run(ctx, reg, names, env, eopts)
 	var deg *engine.DegradedError

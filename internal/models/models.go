@@ -13,7 +13,9 @@ package models
 
 import (
 	"fmt"
+	"strings"
 
+	"coplot/internal/machine"
 	"coplot/internal/rng"
 	"coplot/internal/swf"
 )
@@ -26,16 +28,53 @@ type Model interface {
 	Generate(r *rng.Source, n int) *swf.Log
 }
 
+// Spec is one row of the model table.
+type Spec struct {
+	// Name is the model's name in tables and figures (its Model.Name);
+	// the lower-case form is its wire name for /v1/generate and wgen.
+	Name string
+	// New builds the model for a machine of maxProcs processors.
+	New func(maxProcs int) Model
+	// Fit is the machine the model's published fit targets, the one
+	// the paper places it against; zero for models outside Figure 4.
+	Fit machine.Machine
+}
+
+// Table is the model table: the paper's five models in Figure 4 order,
+// then the session extension. The Feitelson models and Downey fit the
+// earlier, smaller systems (the NASA 128-node iPSC and the SDSC
+// Paragon), Jann the 512-node CTC SP2, and Lublin a mid-size system.
+var Table = []Spec{
+	{"Feitelson96", func(p int) Model { return NewFeitelson96(p) }, machine.NASA},
+	{"Feitelson97", func(p int) Model { return NewFeitelson97(p) }, machine.NASA},
+	{"Downey", func(p int) Model { return NewDowney(p) }, machine.SDSC},
+	{"Jann", func(p int) Model { return NewJann(p) }, machine.CTC},
+	{"Lublin", func(p int) Model { return NewLublin(p) }, machine.LLNL},
+	{"Session", func(p int) Model { return NewSession(p) }, machine.Machine{}},
+}
+
+// Paper is the paper's five models in Figure 4 order: Table's first
+// five rows.
+var Paper = Table[:5]
+
+// Lookup returns the Table row whose name matches name, ignoring case.
+func Lookup(name string) (Spec, bool) {
+	for _, s := range Table {
+		if strings.EqualFold(s.Name, name) {
+			return s, true
+		}
+	}
+	return Spec{}, false
+}
+
 // All returns the five models of the paper in its Figure 4 order, sized
 // for a machine of maxProcs processors.
 func All(maxProcs int) []Model {
-	return []Model{
-		NewFeitelson96(maxProcs),
-		NewFeitelson97(maxProcs),
-		NewDowney(maxProcs),
-		NewJann(maxProcs),
-		NewLublin(maxProcs),
+	out := make([]Model, len(Paper))
+	for i, s := range Paper {
+		out[i] = s.New(maxProcs)
 	}
+	return out
 }
 
 // newLog starts a log with a standard header for model output.

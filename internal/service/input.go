@@ -120,24 +120,11 @@ func ModelByName(name string, procs int) (models.Model, error) {
 	}
 	base := strings.ToLower(name)
 	selfSim := strings.HasPrefix(base, "ss-")
-	base = strings.TrimPrefix(base, "ss-")
-	var gen models.Model
-	switch base {
-	case "feitelson96":
-		gen = models.NewFeitelson96(procs)
-	case "feitelson97":
-		gen = models.NewFeitelson97(procs)
-	case "downey":
-		gen = models.NewDowney(procs)
-	case "jann":
-		gen = models.NewJann(procs)
-	case "lublin":
-		gen = models.NewLublin(procs)
-	case "session":
-		gen = models.NewSession(procs)
-	default:
+	spec, ok := models.Lookup(strings.TrimPrefix(base, "ss-"))
+	if !ok {
 		return nil, fmt.Errorf("unknown model %q", name)
 	}
+	gen := spec.New(procs)
 	if selfSim {
 		gen = models.NewSelfSimilar(gen, 0.85)
 	}

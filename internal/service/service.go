@@ -39,10 +39,6 @@ type Config struct {
 	// content-addressed files there and survive restarts. Empty means
 	// memory only.
 	CacheDir string
-	// CacheTier picks the cache backend: "memory", "disk", "tiered",
-	// or "" for automatic — tiered when CacheDir is set, memory
-	// otherwise. "disk" and "tiered" require CacheDir.
-	CacheTier string
 	// MaxBodyBytes caps a request body (0 = 64 MiB).
 	MaxBodyBytes int64
 	// RequestTimeout bounds one request across all attempts (0 = none);
@@ -138,9 +134,8 @@ type Service struct {
 
 // New builds a Service from cfg. The worker budget, response cache and
 // metrics aggregate live as long as the Service does; a durable cache
-// tier (CacheDir) outlives it. The error is non-nil when the cache
-// configuration is unusable: an invalid tier name, a durable tier
-// without a directory, or an unopenable directory.
+// tier (CacheDir) outlives it. The error is non-nil when CacheDir
+// cannot be opened or the cluster configuration is invalid.
 func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:     cfg,
@@ -149,7 +144,7 @@ func New(cfg Config) (*Service, error) {
 		metrics: obs.NewMetrics(),
 		mux:     http.NewServeMux(),
 	}
-	backend, err := store.Open(cfg.CacheDir, cfg.CacheTier, responseCodec{})
+	backend, err := store.Open(cfg.CacheDir, responseCodec{})
 	if err != nil {
 		return nil, err
 	}
@@ -379,11 +374,15 @@ func (s *Service) endpoint(name string, h handlerFunc) http.Handler {
 		// backoff and panic containment. A panic is converted to a
 		// *engine.PanicError before the store sees it, so the errored
 		// entry is evicted and waiters wake instead of blocking forever.
+		// The task events and retries are named by endpoint, so the
+		// metrics keep one task record per route however many distinct
+		// keys are served; the key itself rides on the store events
+		// and the X-Coplot-Key header.
 		computed := false
 		pol := engine.RetryPolicy{MaxAttempts: s.cfg.Retries + 1, BaseBackoff: s.cfg.Backoff, Seed: s.cfg.Seed}
 		start := time.Now()
-		obs.Emit(s.sink, obs.Event{Kind: obs.KindTaskStart, Name: key})
-		v, err := engine.Do(ctx, key, pol, s.cfg.AttemptTimeout, s.sink, func(ctx context.Context) (any, error) {
+		obs.Emit(s.sink, obs.Event{Kind: obs.KindTaskStart, Name: name})
+		v, err := engine.Do(ctx, name, pol, s.cfg.AttemptTimeout, s.sink, func(ctx context.Context) (any, error) {
 			return s.store.DoSized(key, func() (v any, n int64, err error) {
 				defer func() {
 					if r := recover(); r != nil {
@@ -403,7 +402,7 @@ func (s *Service) endpoint(name string, h handlerFunc) http.Handler {
 				return resp, resp.size(), nil
 			})
 		})
-		done := obs.Event{Kind: obs.KindTaskFinish, Name: key, Elapsed: time.Since(start)}
+		done := obs.Event{Kind: obs.KindTaskFinish, Name: name, Elapsed: time.Since(start)}
 		if err != nil {
 			done.Err = err.Error()
 		}

@@ -10,6 +10,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -614,28 +616,60 @@ func TestCachePersistsAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestCacheTierConfig pins the tier selection and its failure modes.
+// TestCacheTierConfig pins the backend a Config opens: a CacheDir that
+// cannot be created fails New, and without a CacheDir the cache is
+// memory only, so a restarted service recomputes.
 func TestCacheTierConfig(t *testing.T) {
-	if _, err := New(Config{CacheTier: "disk"}); err == nil {
-		t.Fatal("disk tier without a dir must fail")
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(Config{CacheTier: "bogus"}); err == nil {
-		t.Fatal("unknown tier must fail")
+	if _, err := New(Config{CacheDir: filepath.Join(blocker, "cache")}); err == nil {
+		t.Fatal("an unopenable cache dir must fail")
 	}
-	// Explicit memory tier ignores the dir and stays volatile.
-	dir := t.TempDir()
-	svc := mustNew(t, Config{Jobs: 1, CacheDir: dir, CacheTier: "memory"})
+	svc := mustNew(t, Config{Jobs: 1})
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
 	resp, body := post(t, ts, "/v1/generate?model=lublin&procs=128&n=100&seed=3", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	svc2 := mustNew(t, Config{Jobs: 1, CacheDir: dir, CacheTier: "memory"})
+	svc2 := mustNew(t, Config{Jobs: 1})
 	ts2 := httptest.NewServer(svc2)
 	defer ts2.Close()
 	resp2, _ := post(t, ts2, "/v1/generate?model=lublin&procs=128&n=100&seed=3", nil)
 	if got := resp2.Header.Get("X-Coplot-Cache"); got != "miss" {
-		t.Fatalf("memory tier served %q after restart, want miss", got)
+		t.Fatalf("memory cache served %q after restart, want miss", got)
+	}
+}
+
+// TestMetricsTasksBoundedByRoutes pins that /metrics keeps one task
+// record per route, not per request key: the cache byte limit bounds
+// the responses held, and the task records must not grow past it with
+// every distinct request.
+func TestMetricsTasksBoundedByRoutes(t *testing.T) {
+	svc := mustNew(t, Config{Jobs: 1, CacheBytes: 4096})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	for seed := 1; seed <= 40; seed++ {
+		resp, body := post(t, ts, fmt.Sprintf("/v1/generate?model=lublin&n=20&seed=%d", seed), nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", seed, resp.StatusCode, body)
+		}
+	}
+	resp, body := post(t, ts, "/v1/variables?name=a.swf", swfBody(t, 1, 200))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("variables: status %d: %s", resp.StatusCode, body)
+	}
+	m := svc.Manifest(obs.RunInfo{Tool: "test"})
+	var names []string
+	for _, task := range m.Tasks {
+		names = append(names, task.Name)
+	}
+	if strings.Join(names, ",") != "generate,variables" {
+		t.Fatalf("task records = %v, want one per route: [generate variables]", names)
+	}
+	if m.Store.Misses != 41 {
+		t.Fatalf("store misses = %d, want 41 distinct keys", m.Store.Misses)
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 )
 
 // Backend is one storage tier for completed artifacts. Implementations
@@ -125,38 +124,20 @@ func (RawBytes) Encode(v any) ([]byte, bool) {
 // Decode implements Codec.
 func (RawBytes) Decode(data []byte) (any, error) { return data, nil }
 
-// Open builds the backend for a (-cache-dir, -cache-tier) flag pair,
-// so every process — coplotd and the batch CLIs alike — interprets the
-// pair the same way. Tier "" is automatic: tiered when dir is set,
-// memory otherwise. "memory" ignores dir; "disk" and "tiered" require
-// one. The memory layers start unbounded; callers cap them through
-// Limiter. A nil codec defaults to RawBytes.
-func Open(dir, tier string, codec Codec) (Backend, error) {
-	if tier == "" {
-		if dir == "" {
-			tier = "memory"
-		} else {
-			tier = "tiered"
-		}
-	}
-	switch tier {
-	case "memory":
+// Open builds the backend for a -cache-dir flag, so every process —
+// coplotd and the batch CLIs alike — interprets it the same way: an
+// empty dir is a memory cache, any other is a memory tier over a disk
+// tier rooted at dir. The memory layers start unbounded; callers cap
+// them through Limiter. A nil codec defaults to RawBytes.
+func Open(dir string, codec Codec) (Backend, error) {
+	if dir == "" {
 		return NewMemory(0), nil
-	case "disk", "tiered":
-		if dir == "" {
-			return nil, fmt.Errorf("store: cache tier %q requires a cache dir", tier)
-		}
-		disk, err := NewDisk(dir, codec)
-		if err != nil {
-			return nil, err
-		}
-		if tier == "disk" {
-			return disk, nil
-		}
-		return NewTiered(NewMemory(0), disk), nil
-	default:
-		return nil, fmt.Errorf("store: unknown cache tier %q (want memory, disk, or tiered)", tier)
 	}
+	disk, err := NewDisk(dir, codec)
+	if err != nil {
+		return nil, err
+	}
+	return NewTiered(NewMemory(0), disk), nil
 }
 
 // Key derives a deterministic content-hash cache key: a sha256 over
