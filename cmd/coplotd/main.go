@@ -48,11 +48,10 @@
 //	coplotd [-addr HOST:PORT] [-jobs N] [-max-inflight N] [-cache-bytes N]
 //	        [-cache-dir DIR]
 //	        [-request-timeout D] [-task-timeout D] [-retries N] [-backoff D]
-//	        [-drain D] [-seed N] [-trace FILE] [-manifest FILE]
-//	        [-peers URL,URL,...] [-self URL] [-ring-replicas N]
+//	        [-drain D] [-trace FILE] [-manifest FILE]
+//	        [-peers URL,URL,...] [-self URL]
 //	        [-peer-timeout D] [-peer-retries N]
-//	        [-max-streams N] [-drift-pos F] [-drift-angle F] [-landmarks N]
-//	        [-corpus-jobs N]
+//	        [-max-streams N] [-landmarks N] [-corpus-jobs N]
 //
 // One -jobs worker budget is shared by every in-flight request, so
 // total kernel parallelism stays bounded under concurrent load;
@@ -76,7 +75,7 @@
 // Cluster mode: start N replicas with the same -peers list (every
 // replica's base URL, comma-separated) and each replica's own URL as
 // -self, and the replicas act as one cache. A consistent-hash ring
-// (-ring-replicas virtual nodes per member) assigns every content key
+// (64 virtual nodes per member) assigns every content key
 // an owner replica; on a local miss a replica first tries a
 // checksummed peer fill from the owner before recomputing, and a
 // computed response whose owner is another replica is back-filled
@@ -102,9 +101,9 @@
 // (warm-started from the previous configuration) and re-anchored on a
 // cold solve whenever the warm update is not trustworthy. Appends and
 // drift threshold crossings surface as stream.update / stream.drift
-// events on -trace, in /metrics and in the exit manifest; -drift-pos
-// and -drift-angle set the default thresholds (per-stream options
-// override them) and -max-streams caps the registry.
+// events on -trace, in /metrics and in the exit manifest. The drift
+// thresholds are per-stream options (?drift-pos=, ?drift-angle=) and
+// -max-streams caps the registry.
 //
 // Observability: each request emits engine events (-trace appends them
 // as JSON lines), /metrics serves the same aggregate manifest the
@@ -143,17 +142,13 @@ func realMain() int {
 	retries := flag.Int("retries", 0, "retry a transiently failing request up to N more times (0 = fail on first error)")
 	backoff := flag.Duration("backoff", 0, "base delay before the first retry, doubling per retry (0 = engine default)")
 	drain := flag.Duration("drain", 30*time.Second, "how long shutdown waits for in-flight requests (0 = no limit)")
-	seed := flag.Uint64("seed", 7, "retry-jitter seed (analysis seeds come from each request)")
 	peers := flag.String("peers", "", "comma-separated base URLs of every cluster replica, including this one (empty = single replica)")
 	self := flag.String("self", "", "this replica's own base URL as peers reach it; required with -peers")
-	ringReplicas := flag.Int("ring-replicas", 0, "consistent-hash virtual nodes per ring member (0 = 64)")
 	peerTimeout := flag.Duration("peer-timeout", 0, "per-attempt time limit for peer fetches and back-fills (0 = 2s)")
 	peerRetries := flag.Int("peer-retries", 1, "extra attempts after a failed peer operation (0 = single attempt)")
 	maxStreams := flag.Int("max-streams", 0, "live streams held by the /v1/stream endpoints (0 = 64)")
 	landmarks := flag.Int("landmarks", 0, "default landmark count: analyses and streams over more observations use landmark MDS (0 = always solve exactly)")
 	corpusJobs := flag.Int("corpus-jobs", 0, "log length of the 15 seed corpus observations (0 = 2000, negative = start with an empty corpus)")
-	driftPos := flag.Float64("drift-pos", 0, "default positional drift threshold, fraction of the map's RMS radius (0 = 0.25)")
-	driftAngle := flag.Float64("drift-angle", 0, "default arrow drift threshold in radians (0 = 0.35)")
 	tracePath := flag.String("trace", "", "append engine events as JSON lines to this file")
 	manifestPath := flag.String("manifest", "", "write the aggregate run manifest to this file on exit")
 	var prof obs.Profile
@@ -194,16 +189,12 @@ func realMain() int {
 		AttemptTimeout: *taskTimeout,
 		Retries:        *retries,
 		Backoff:        *backoff,
-		Seed:           *seed,
 		Peers:          splitPeers(*peers),
 		Self:           *self,
-		RingReplicas:   *ringReplicas,
 		PeerTimeout:    *peerTimeout,
 		PeerRetries:    *peerRetries,
 		Sink:           sink,
 		MaxStreams:     *maxStreams,
-		DriftPos:       *driftPos,
-		DriftAngle:     *driftAngle,
 		Landmarks:      *landmarks,
 		CorpusJobs:     *corpusJobs,
 	})
@@ -229,8 +220,7 @@ func realMain() int {
 
 	serveErr := svc.Serve(ln, stop, *drain)
 	if *manifestPath != "" {
-		m := svc.Manifest(obs.RunInfo{Tool: "coplotd", Seed: *seed, Jobs: *jobs, Timeout: *requestTimeout})
-		if err := m.WriteFile(*manifestPath); err != nil {
+		if err := svc.Manifest().WriteFile(*manifestPath); err != nil {
 			fmt.Fprintln(os.Stderr, "coplotd: manifest:", err)
 			return 1
 		}

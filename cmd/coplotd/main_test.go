@@ -34,3 +34,56 @@ func TestNegativeLandmarksIsUsageError(t *testing.T) {
 		t.Fatalf("coplotd -landmarks -5: %v\n%s", err, out)
 	}
 }
+
+// TestFlagTableMatchesOperations: the flags coplotd registers are
+// exactly the flags OPERATIONS.md §3 documents, so a removed flag
+// cannot linger in the table and a new one cannot go undocumented.
+func TestFlagTableMatchesOperations(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0])
+	cmd.Env = append(os.Environ(), "COPLOTD_MAIN_ARGS=-h")
+	usage, _ := cmd.CombinedOutput() // -h exits after printing the flag defaults
+	registered := map[string]bool{}
+	for _, line := range strings.Split(string(usage), "\n") {
+		// The test binary's own -test.* flags share the flag set.
+		if rest, ok := strings.CutPrefix(line, "  -"); ok && !strings.HasPrefix(rest, "test.") {
+			registered[strings.Fields(rest)[0]] = true
+		}
+	}
+	if len(registered) < 10 {
+		t.Fatalf("only %d flags in the usage output:\n%s", len(registered), usage)
+	}
+
+	ops, err := os.ReadFile("../../OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(ops), "\n## 3. Flag reference\n")
+	if !ok {
+		t.Fatal("OPERATIONS.md has no \"## 3. Flag reference\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| `-") {
+			continue
+		}
+		first, _, _ := strings.Cut(line[1:], "|") // the flag column
+		for _, tok := range strings.Split(first, "`")[1:] {
+			if name, ok := strings.CutPrefix(tok, "-"); ok {
+				documented[strings.Fields(name)[0]] = true
+			}
+		}
+	}
+	for name := range registered {
+		if !documented[name] {
+			t.Errorf("flag -%s is registered but missing from OPERATIONS.md §3", name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("OPERATIONS.md §3 documents -%s, which coplotd does not register", name)
+		}
+	}
+}

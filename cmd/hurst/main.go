@@ -133,39 +133,34 @@ type report struct {
 // returns the reports in argument order. Failures surface through the
 // engine — so they are retried under opts.Retry and, with
 // opts.KeepGoing, degrade instead of cancelling the batch — and come
-// back inside the per-file reports. cache is the durable report cache
+// back inside the per-file reports: a file that was estimated keeps
+// its report even when another file fails the batch, a file that
+// failed or was cancelled carries its own error, and a file that never
+// started carries the batch error. cache is the durable report cache
 // (nil = none).
 func estimateAll(paths []string, svgDir string, cache store.Backend, opts engine.Options) []report {
 	// One budget for the whole batch: file workers and the estimator
 	// fan-out inside each file draw from the same -jobs.
 	budget := par.NewBudget(opts.Jobs)
-	itemErrs := make([]error, len(paths)) // index i written only by its worker
-	reports, err := engine.Map(context.Background(), paths, opts,
-		func(ctx context.Context, i int) (report, error) {
+	out := make([]report, len(paths)) // index i written only by its worker
+	ran := make([]bool, len(paths))
+	_, err := engine.Map(context.Background(), paths, opts,
+		func(ctx context.Context, i int) (struct{}, error) {
 			text, err := estimate(ctx, paths[i], svgDir, cache, budget)
-			itemErrs[i] = err
-			if err != nil {
-				return report{}, err
+			if err == nil {
+				err = ctx.Err() // the engine fails an attempt that outlived its context
 			}
-			return report{text: text}, nil
+			out[i], ran[i] = report{text: text, err: err}, true
+			return struct{}{}, err
 		})
 	if err != nil {
-		// Degraded (or cancelled) batch: fill each missing report with
-		// its own failure, falling back to the batch error.
-		out := make([]report, len(paths))
 		for i := range out {
-			switch {
-			case reports != nil && itemErrs[i] == nil:
-				out[i] = reports[i]
-			case itemErrs[i] != nil:
-				out[i] = report{err: itemErrs[i]}
-			default:
-				out[i] = report{err: err}
+			if !ran[i] {
+				out[i].err = err
 			}
 		}
-		return out
 	}
-	return reports
+	return out
 }
 
 // reportCacheSchema versions the cached report layout; bump it when

@@ -2,13 +2,18 @@ package main
 
 import (
 	"context"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"coplot/internal/engine"
 	"coplot/internal/models"
+	"coplot/internal/obs"
 	"coplot/internal/par"
 	"coplot/internal/rng"
 	"coplot/internal/store"
@@ -76,6 +81,64 @@ func TestEstimateAllContinuesPastErrors(t *testing.T) {
 	}
 	if reports[0].text != reports[2].text {
 		t.Fatal("identical inputs produced different reports")
+	}
+}
+
+// finishSink closes done once n tasks have finished.
+type finishSink struct {
+	mu   sync.Mutex
+	n    int
+	done chan struct{}
+}
+
+// Event implements obs.Sink.
+func (s *finishSink) Event(e obs.Event) {
+	if e.Kind != obs.KindTaskFinish {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.n--; s.n == 0 {
+		close(s.done)
+	}
+}
+
+// TestEstimateAllFailFastKeepsCompletedReports: with KeepGoing off the
+// first failure cancels the batch, but files that were estimated keep
+// their reports and only the failing file carries an error. The
+// missing file's retry waits until the three good files have finished,
+// so they are done before the failure cancels the batch.
+func TestEstimateAllFailFastKeepsCompletedReports(t *testing.T) {
+	good := writeTestLog(t)
+	missing := filepath.Join(t.TempDir(), "none.swf")
+	paths := []string{good, good, missing, good}
+	sink := &finishSink{n: 3, done: make(chan struct{})}
+	opts := engine.Options{Jobs: len(paths), Sink: sink, Retry: engine.RetryPolicy{
+		MaxAttempts: 2,
+		Sleep: func(ctx context.Context, _ time.Duration) error {
+			select {
+			case <-sink.done:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		},
+	}}
+	reports := estimateAll(paths, "", nil, opts)
+	want, err := estimate(context.Background(), good, "", nil, par.NewBudget(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range reports {
+		if i == 2 {
+			if !errors.Is(rep.err, fs.ErrNotExist) {
+				t.Fatalf("missing file: err %v, want its own not-exist error", rep.err)
+			}
+			continue
+		}
+		if rep.err != nil || rep.text != want {
+			t.Fatalf("report %d, estimated before the failure: err %v, text %q", i, rep.err, rep.text)
+		}
 	}
 }
 

@@ -41,13 +41,18 @@ import (
 	"coplot/internal/store"
 )
 
-// Defaults for Config's zero fields.
+// Limits of the peer traffic.
 const (
-	// DefaultTimeout bounds one peer HTTP attempt.
+	// DefaultTimeout bounds one peer HTTP attempt when Config.Timeout
+	// is not positive.
 	DefaultTimeout = 2 * time.Second
 	// DefaultMaxFetchBytes caps the size of one fetched artifact.
 	DefaultMaxFetchBytes = 256 << 20
 )
+
+// jitterSeed drives the deterministic retry-backoff jitter of peer
+// operations.
+const jitterSeed = 7
 
 // ArtifactPathPrefix is the URL prefix of the peer-fill protocol; the
 // key follows it. The serving layer mounts the Handler at
@@ -74,9 +79,6 @@ type Config struct {
 	// replica must be started with the same set for ring ownership to
 	// agree.
 	Peers []string
-	// VNodes is the virtual nodes per member on the ring;
-	// non-positive means DefaultVNodes.
-	VNodes int
 	// Timeout bounds each peer HTTP attempt; non-positive means
 	// DefaultTimeout.
 	Timeout time.Duration
@@ -84,11 +86,6 @@ type Config struct {
 	// back-fill (0 = single attempt). Retries are spaced by the PR-3
 	// seed-deterministic exponential backoff.
 	Retries int
-	// Seed drives the deterministic retry-backoff jitter.
-	Seed uint64
-	// MaxFetchBytes caps one fetched artifact's size; non-positive
-	// means DefaultMaxFetchBytes.
-	MaxFetchBytes int64
 	// Local is the backend peers fill into and back-fills are read
 	// from — typically the Tiered memory-over-disk backend. Required.
 	Local store.Backend
@@ -96,9 +93,6 @@ type Config struct {
 	// the codec every other replica uses. Values the codec declines
 	// stay local and are never exchanged. Nil means store.RawBytes.
 	Codec store.Codec
-	// Client optionally overrides the HTTP client used for peer
-	// traffic (tests); nil means a fresh client with pooled transport.
-	Client *http.Client
 }
 
 // Peer is the peer-aware storage tier: store.Backend over the local
@@ -112,7 +106,6 @@ type Peer struct {
 	client   *http.Client
 	timeout  time.Duration
 	attempts int
-	maxFetch int64
 	pol      engine.RetryPolicy
 
 	order []string              // peer URLs (excluding self), sorted
@@ -135,7 +128,7 @@ func New(cfg Config) (*Peer, error) {
 	if cfg.Local == nil {
 		return nil, fmt.Errorf("cluster: Config.Local backend is required")
 	}
-	ring, err := NewRing(cfg.Peers, cfg.VNodes)
+	ring, err := NewRing(cfg.Peers, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -156,27 +149,20 @@ func New(cfg Config) (*Peer, error) {
 		ring:     ring,
 		local:    cfg.Local,
 		codec:    cfg.Codec,
-		client:   cfg.Client,
+		client:   &http.Client{},
 		timeout:  cfg.Timeout,
 		attempts: cfg.Retries + 1,
-		maxFetch: cfg.MaxFetchBytes,
-		pol:      engine.RetryPolicy{Seed: cfg.Seed},
+		pol:      engine.RetryPolicy{Seed: jitterSeed},
 		stats:    map[string]*peerStats{},
 	}
 	if p.codec == nil {
 		p.codec = store.RawBytes{}
-	}
-	if p.client == nil {
-		p.client = &http.Client{}
 	}
 	if p.timeout <= 0 {
 		p.timeout = DefaultTimeout
 	}
 	if p.attempts < 1 {
 		p.attempts = 1
-	}
-	if p.maxFetch <= 0 {
-		p.maxFetch = DefaultMaxFetchBytes
 	}
 	for _, m := range members {
 		if m == self {
@@ -334,12 +320,12 @@ func (p *Peer) fetchOnce(owner, key string) (v any, size int64, found bool, err 
 	case resp.StatusCode != http.StatusOK:
 		return nil, 0, false, fmt.Errorf("cluster: peer %s answered %s for %s", owner, resp.Status, key)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, p.maxFetch+1))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, DefaultMaxFetchBytes+1))
 	if err != nil {
 		return nil, 0, false, err
 	}
-	if int64(len(body)) > p.maxFetch {
-		return nil, 0, false, fmt.Errorf("cluster: artifact %s from %s exceeds %d bytes", key, owner, p.maxFetch)
+	if int64(len(body)) > DefaultMaxFetchBytes {
+		return nil, 0, false, fmt.Errorf("cluster: artifact %s from %s exceeds %d bytes", key, owner, DefaultMaxFetchBytes)
 	}
 	if got := resp.Header.Get(HeaderKey); got != key {
 		return nil, 0, false, fmt.Errorf("cluster: peer %s echoed key %q, want %q", owner, got, key)

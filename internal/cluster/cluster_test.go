@@ -115,7 +115,6 @@ func peerFor(t *testing.T, self *replica, all []*replica) *cluster.Peer {
 		Self:    self.srv.URL,
 		Peers:   urls,
 		Timeout: 2 * time.Second,
-		Seed:    3,
 		Local:   self.local,
 		Codec:   store.RawBytes{},
 	})

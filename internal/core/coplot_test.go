@@ -471,3 +471,38 @@ func TestAnalyzeContextCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+func TestAnalyzeAffineInvariance(t *testing.T) {
+	// Stage 1 z-normalizes every variable, so rescaling and shifting any
+	// column must leave the whole analysis unchanged.
+	ds := syntheticDataset(12, 0.15, 70)
+	res1, err := AnalyzeContext(context.Background(), ds, Options{MDS: mds.Options{Seed: 71}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled := &Dataset{
+		Observations: ds.Observations,
+		Variables:    ds.Variables,
+	}
+	for _, row := range ds.X {
+		nr := make([]float64, len(row))
+		for j, v := range row {
+			nr[j] = v*float64(3+j) + float64(10*j)
+		}
+		scaled.X = append(scaled.X, nr)
+	}
+	res2, err := AnalyzeContext(context.Background(), scaled, Options{MDS: mds.Options{Seed: 71}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res1.Alienation-res2.Alienation) > 1e-9 {
+		t.Fatalf("alienation changed under affine transform: %v vs %v",
+			res1.Alienation, res2.Alienation)
+	}
+	for i := range res1.Points {
+		if math.Abs(res1.Points[i].X-res2.Points[i].X) > 1e-6 ||
+			math.Abs(res1.Points[i].Y-res2.Points[i].Y) > 1e-6 {
+			t.Fatalf("point %s moved under affine transform", res1.Points[i].Name)
+		}
+	}
+}

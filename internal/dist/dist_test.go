@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -23,7 +24,7 @@ func TestUniformMoments(t *testing.T) {
 	if m := stats.Mean(xs); math.Abs(m-4) > 0.02 {
 		t.Fatalf("uniform mean = %v", m)
 	}
-	if stats.Min(xs) < 2 || stats.Max(xs) >= 6 {
+	if slices.Min(xs) < 2 || slices.Max(xs) >= 6 {
 		t.Fatal("uniform out of range")
 	}
 }
@@ -203,7 +204,7 @@ func TestParetoTail(t *testing.T) {
 	r := rng.New(13)
 	p := Pareto{Xm: 1, Alpha: 2}
 	xs := sample(p, r, 200000)
-	if stats.Min(xs) < 1 {
+	if slices.Min(xs) < 1 {
 		t.Fatal("pareto below Xm")
 	}
 	// Median = Xm * 2^{1/alpha}
@@ -217,7 +218,7 @@ func TestLogUniform(t *testing.T) {
 	r := rng.New(14)
 	l := LogUniform{Lo: 10, Hi: 1000}
 	xs := sample(l, r, 200000)
-	if stats.Min(xs) < 10 || stats.Max(xs) > 1000 {
+	if slices.Min(xs) < 10 || slices.Max(xs) > 1000 {
 		t.Fatal("loguniform out of range")
 	}
 	if med := stats.Median(xs); math.Abs(med-l.Median()) > 2 {
@@ -298,17 +299,6 @@ func TestJobSizeRangeAndPow2Emphasis(t *testing.T) {
 	// Small jobs dominate.
 	if counts[1] < counts[100] {
 		t.Fatal("harmonic shape missing: size 1 rarer than size 100")
-	}
-}
-
-func TestPow2SizesOnlyPowers(t *testing.T) {
-	p := NewPow2Sizes(32, 1024, 0.3)
-	r := rng.New(19)
-	for i := 0; i < 10000; i++ {
-		s := p.SampleInt(r)
-		if s < 32 || s > 1024 || s&(s-1) != 0 {
-			t.Fatalf("invalid partition size %d", s)
-		}
 	}
 }
 

@@ -48,40 +48,3 @@ func (j *JobSize) SampleInt(r *rng.Source) int { return int(j.d.Sample(r)) }
 func (j *JobSize) Sample(r *rng.Source) float64 { return j.d.Sample(r) }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
-
-// Pow2Sizes draws only power-of-two sizes between MinSize and MaxProcs,
-// the allocation regime of machines with static power-of-two partitions
-// (e.g. the LANL CM-5, whose smallest partition held 32 processors).
-type Pow2Sizes struct {
-	MinSize, MaxProcs int
-	// TiltToward biases the geometric choice of exponent; 0 gives uniform
-	// exponents, positive values favor larger partitions.
-	TiltToward float64
-
-	d *Discrete
-}
-
-// NewPow2Sizes precomputes the size table. minSize is rounded up to a
-// power of two.
-func NewPow2Sizes(minSize, maxProcs int, tilt float64) *Pow2Sizes {
-	lo := 1
-	for lo < minSize {
-		lo <<= 1
-	}
-	var vals, wts []float64
-	for s := lo; s <= maxProcs; s <<= 1 {
-		vals = append(vals, float64(s))
-		wts = append(wts, math.Exp(tilt*math.Log2(float64(s)/float64(lo))))
-	}
-	d, err := NewDiscrete(vals, wts)
-	if err != nil {
-		panic("dist: NewPow2Sizes internal error: " + err.Error())
-	}
-	return &Pow2Sizes{MinSize: lo, MaxProcs: maxProcs, TiltToward: tilt, d: d}
-}
-
-// SampleInt draws a power-of-two job size.
-func (p *Pow2Sizes) SampleInt(r *rng.Source) int { return int(p.d.Sample(r)) }
-
-// Sample implements Sampler.
-func (p *Pow2Sizes) Sample(r *rng.Source) float64 { return p.d.Sample(r) }

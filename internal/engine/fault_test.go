@@ -424,7 +424,9 @@ func TestMapMatchesEdgeFreeRun(t *testing.T) {
 }
 
 func TestBackoffDeterministicAndBounded(t *testing.T) {
-	p := engine.RetryPolicy{BaseBackoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond, Seed: 42}
+	// Doubling from 500ms reaches the fixed 2s cap at attempt 3, so
+	// attempts 4-6 check the cap.
+	p := engine.RetryPolicy{BaseBackoff: 500 * time.Millisecond, Seed: 42}
 	prevCap := time.Duration(0)
 	for attempt := 1; attempt <= 6; attempt++ {
 		d1 := p.Backoff("task", attempt)
@@ -432,9 +434,9 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 		if d1 != d2 {
 			t.Fatalf("attempt %d: backoff not deterministic: %v vs %v", attempt, d1, d2)
 		}
-		nominal := 10 * time.Millisecond << (attempt - 1)
-		if nominal > 80*time.Millisecond {
-			nominal = 80 * time.Millisecond
+		nominal := 500 * time.Millisecond << (attempt - 1)
+		if nominal > 2*time.Second {
+			nominal = 2 * time.Second
 		}
 		if d1 < nominal/2 || d1 >= nominal {
 			t.Fatalf("attempt %d: backoff %v outside [%v, %v)", attempt, d1, nominal/2, nominal)

@@ -25,16 +25,12 @@ type RetryPolicy struct {
 	// the first. Values below 1 mean 1 (no retries).
 	MaxAttempts int
 	// BaseBackoff is the nominal delay before the first retry; each
-	// further retry doubles it. Zero defaults to 10ms.
+	// further retry doubles it, up to maxBackoff. Zero defaults to
+	// 10ms.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth. Zero defaults to 2s.
-	MaxBackoff time.Duration
 	// Seed drives the deterministic jitter stream (rng.Derive keyed by
 	// task name and attempt).
 	Seed uint64
-	// Classify reports whether an error is worth retrying. Nil means
-	// DefaultRetryable.
-	Classify func(error) bool
 	// Sleep waits for the backoff delay; tests substitute an instant
 	// clock. Nil sleeps on a timer, aborting early when ctx ends.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -48,30 +44,27 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.BaseBackoff <= 0 {
 		p.BaseBackoff = 10 * time.Millisecond
 	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 2 * time.Second
-	}
-	if p.Classify == nil {
-		p.Classify = DefaultRetryable
-	}
 	if p.Sleep == nil {
 		p.Sleep = sleepCtx
 	}
 	return p
 }
 
+// maxBackoff caps the exponential growth of the retry delay.
+const maxBackoff = 2 * time.Second
+
 // Backoff returns the delay before retrying task after its failed
-// attempt (1-based): BaseBackoff·2^(attempt-1), capped at MaxBackoff,
+// attempt (1-based): BaseBackoff·2^(attempt-1), capped at maxBackoff,
 // scaled by a deterministic equal-jitter factor in [0.5, 1.0) derived
 // from (Seed, task, attempt).
 func (p RetryPolicy) Backoff(task string, attempt int) time.Duration {
 	p = p.withDefaults()
 	d := p.BaseBackoff
-	for i := 1; i < attempt && d < p.MaxBackoff; i++ {
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	u := rng.New(rng.Derive(p.Seed, fmt.Sprintf("backoff:%s#%d", task, attempt))).Float64()
 	return time.Duration((0.5 + 0.5*u) * float64(d))
@@ -89,12 +82,12 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// DefaultRetryable is the default retry classification: cancellations
-// are never retried (the run is shutting down), explicitly permanent
-// errors (Permanent) and recovered panics (PanicError) are not retried,
-// and everything else — including a per-attempt deadline — is presumed
+// retryable is the retry classification: cancellations are never
+// retried (the run is shutting down), explicitly permanent errors
+// (Permanent) and recovered panics (PanicError) are not retried, and
+// everything else — including a per-attempt deadline — is presumed
 // transient.
-func DefaultRetryable(err error) bool {
+func retryable(err error) bool {
 	if err == nil || errors.Is(err, context.Canceled) {
 		return false
 	}
@@ -106,7 +99,7 @@ func DefaultRetryable(err error) bool {
 	return !errors.As(err, &pe)
 }
 
-// Permanent marks err as not worth retrying under DefaultRetryable:
+// Permanent marks err as not worth retrying:
 // the failure is deterministic (bad input, impossible configuration),
 // so further attempts would only repeat it.
 func Permanent(err error) error {

@@ -351,7 +351,7 @@ func runAttempts(ctx context.Context, name string, pol RetryPolicy, attemptTimeo
 		if err == nil {
 			return v, nil
 		}
-		if attempt >= pol.MaxAttempts || ctx.Err() != nil || !pol.Classify(err) {
+		if attempt >= pol.MaxAttempts || ctx.Err() != nil || !retryable(err) {
 			if attempt > 1 {
 				obs.Emit(sink, obs.Event{Kind: obs.KindTaskGiveUp, Name: name, Attempt: attempt, Err: err.Error()})
 			}

@@ -1,10 +1,8 @@
 // Package faultinject is a deterministic fault-injection harness for
 // the experiment engine: a Schedule maps target names (registered
-// experiments, artifact-store keys, filesystem paths) to faults —
-// error-N-times, hang-until-cancelled, panic, or seeded probabilistic
-// errors — and wrappers splice the schedule around registered task
-// functions (Wrap), artifact-store computes (Compute), and environment
-// filesystem writes (FS). Because every fault fires on a fixed
+// experiments) to faults — error-N-times, hang-until-cancelled, panic,
+// or seeded probabilistic errors — and Wrap splices the schedule around
+// the registered task functions. Because every fault fires on a fixed
 // invocation count (or a seeded per-invocation coin flip), a test run
 // with a given schedule exercises exactly the same failure sequence
 // every time, so retry, give-up and degradation paths are testable
@@ -15,8 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,7 +43,7 @@ const (
 // Fault is one scheduled fault.
 type Fault struct {
 	// Target is the name the fault fires on: an experiment name for
-	// Wrap, an artifact key for Compute, a file path for FS.
+	// Wrap, or any name a caller passes to Fire.
 	Target string
 	// Kind selects the behavior (KindError when empty).
 	Kind Kind
@@ -143,21 +139,6 @@ func (s *Schedule) Enabled() bool {
 	return len(s.faults) > 0
 }
 
-// Targets lists the scheduled targets, sorted.
-func (s *Schedule) Targets() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.faults))
-	for t := range s.faults {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Count reports how many faults have fired on target so far.
 func (s *Schedule) Count(target string) int {
 	if s == nil {
@@ -228,39 +209,4 @@ func Wrap[E any](s *Schedule, reg *engine.Registry[E]) *engine.Registry[E] {
 			return run(ctx, env)
 		}
 	})
-}
-
-// Compute wraps an artifact-store compute function so a scheduled fault
-// on the artifact key fires before the real computation:
-//
-//	store.Do(key, faultinject.Compute(sched, ctx, key, fn))
-func Compute(s *Schedule, ctx context.Context, key string, fn func() (any, error)) func() (any, error) {
-	if !s.Enabled() {
-		return fn
-	}
-	return func() (any, error) {
-		if err := s.Fire(ctx, key); err != nil {
-			return nil, err
-		}
-		return fn()
-	}
-}
-
-// WriteFunc is the filesystem-write shape the experiment environment
-// uses (os.WriteFile-compatible).
-type WriteFunc func(path string, data []byte, perm os.FileMode) error
-
-// FS wraps a filesystem write function so a scheduled fault on the
-// written path fires instead of the write. ctx governs hang faults; the
-// wrapped function itself keeps the os.WriteFile signature.
-func FS(s *Schedule, ctx context.Context, write WriteFunc) WriteFunc {
-	if !s.Enabled() {
-		return write
-	}
-	return func(path string, data []byte, perm os.FileMode) error {
-		if err := s.Fire(ctx, path); err != nil {
-			return err
-		}
-		return write(path, data, perm)
-	}
 }

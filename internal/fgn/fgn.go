@@ -140,18 +140,6 @@ func DaviesHarte(r *rng.Source, h float64, n int) ([]float64, error) {
 	return out, nil
 }
 
-// FBM integrates fGn into fractional Brownian motion: B[0]=x[0],
-// B[i]=B[i-1]+x[i].
-func FBM(x []float64) []float64 {
-	out := make([]float64, len(x))
-	acc := 0.0
-	for i, v := range x {
-		acc += v
-		out[i] = acc
-	}
-	return out
-}
-
 // Standardize rescales a realization to zero sample mean and unit sample
 // variance in place, returning the slice. Long-range-dependent series
 // converge to their ensemble moments only at rate n^{H−1}, so a single

@@ -6,6 +6,7 @@ import (
 
 	"coplot/internal/dist"
 	"coplot/internal/rng"
+	"coplot/internal/series"
 	"coplot/internal/stats"
 )
 
@@ -53,20 +54,6 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// empiricalACF returns the lag-k sample autocorrelation.
-func empiricalACF(x []float64, k int) float64 {
-	n := len(x)
-	m := stats.Mean(x)
-	var num, den float64
-	for i := 0; i < n-k; i++ {
-		num += (x[i] - m) * (x[i+k] - m)
-	}
-	for i := 0; i < n; i++ {
-		den += (x[i] - m) * (x[i] - m)
-	}
-	return num / den
-}
-
 func TestHoskingACFMatchesTheory(t *testing.T) {
 	r := rng.New(2)
 	h := 0.8
@@ -76,7 +63,7 @@ func TestHoskingACFMatchesTheory(t *testing.T) {
 	}
 	for _, k := range []int{1, 2, 5} {
 		want := Autocovariance(h, k)
-		got := empiricalACF(x, k)
+		got := series.ACF(x, k)[k]
 		if math.Abs(got-want) > 0.08 {
 			t.Fatalf("lag-%d ACF = %v, want %v", k, got, want)
 		}
@@ -92,7 +79,7 @@ func TestDaviesHarteACFMatchesTheory(t *testing.T) {
 		}
 		for _, k := range []int{1, 2, 5} {
 			want := Autocovariance(h, k)
-			got := empiricalACF(x, k)
+			got := series.ACF(x, k)[k]
 			// Sample ACF of strongly LRD series is biased downward by
 			// O(n^{2H-2}); allow a wider band at high H.
 			tol := 0.05 + 0.3*math.Max(0, h-0.75)
@@ -124,7 +111,7 @@ func TestDaviesHarteWhiteNoiseCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a := empiricalACF(x, 1); math.Abs(a) > 0.03 {
+	if a := series.ACF(x, 1)[1]; math.Abs(a) > 0.03 {
 		t.Fatalf("H=0.5 lag-1 ACF = %v, want ~0", a)
 	}
 }
@@ -164,17 +151,6 @@ func TestHoskingDaviesHarteAgree(t *testing.T) {
 	}
 }
 
-func TestFBM(t *testing.T) {
-	x := []float64{1, -2, 3}
-	b := FBM(x)
-	want := []float64{1, -1, 2}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Fatalf("FBM = %v, want %v", b, want)
-		}
-	}
-}
-
 func TestFBMSelfSimilarScaling(t *testing.T) {
 	// Var(B_n) ~ n^{2H} for fBm; check the growth exponent roughly.
 	h := 0.8
@@ -185,9 +161,17 @@ func TestFBMSelfSimilarScaling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := FBM(x)
-		v1 = append(v1, b[255])
-		v2 = append(v2, b[1023])
+		// Integrate the fGn into fBm: B[i] = x[0] + ... + x[i].
+		b := 0.0
+		for i, v := range x {
+			b += v
+			switch i {
+			case 255:
+				v1 = append(v1, b)
+			case 1023:
+				v2 = append(v2, b)
+			}
+		}
 	}
 	ratio := stats.Variance(v2) / stats.Variance(v1)
 	want := math.Pow(4, 2*h) // (1024/256)^{2H} ≈ 9.19

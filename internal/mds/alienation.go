@@ -8,7 +8,7 @@ import (
 	"coplot/internal/par"
 )
 
-// alienationNaiveMaxPairs is the pair count up to which AlienationOf
+// alienationNaiveMaxPairs is the pair count up to which alienationOf
 // keeps the literal O(m²) double loop of equation (3). The paper's
 // 15-observation matrices (105 pairs) and every landmark subproblem up
 // to k = 128 stay on this path, so their results remain bit-identical
@@ -24,7 +24,7 @@ const alienationNaiveMaxPairs = 8192
 // distance loop).
 const alienMomentBlock = 1 << 15
 
-// AlienationOf computes Guttman's coefficient of alienation
+// alienationOf computes Guttman's coefficient of alienation
 // Θ = sqrt(1 − μ²) with μ from equation (3): the normalized sum over all
 // pairs of pairs of the product of dissimilarity differences and distance
 // differences. diss supplies S in any fixed order and dist the matching
@@ -33,12 +33,7 @@ const alienMomentBlock = 1 << 15
 // Small inputs (≤ alienationNaiveMaxPairs pairs) use the literal
 // quadratic double loop; larger inputs use an exact O(m log m)
 // decomposition of the same sums (see alienationFast), property-tested
-// against the quadratic form.
-func AlienationOf(diss []pair, dist []float64) float64 {
-	return alienationOf(diss, dist, nil)
-}
-
-// alienationOf is AlienationOf with a worker budget for the fast path's
+// against the quadratic form. budget parallelizes the fast path's
 // blocked moment pass; the solver threads its Options.Par through here.
 func alienationOf(diss []pair, dist []float64, budget *par.Budget) float64 {
 	if len(diss) <= alienationNaiveMaxPairs {

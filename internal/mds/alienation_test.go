@@ -104,17 +104,17 @@ func TestAlienationFastDeterministicAcrossBudgets(t *testing.T) {
 	}
 }
 
-// TestAlienationOfDispatch: below the threshold the exported entry
+// TestAlienationOfDispatch: below the threshold the dispatching entry
 // point must return the bit-exact naive value — the paper's 15×15
 // matrices (105 pairs) and all small fixtures ride on that.
 func TestAlienationOfDispatch(t *testing.T) {
 	r := rng.New(123)
 	diss, dist := randomPairSet(r, 105, 0, 0.5)
-	if got, want := AlienationOf(diss, dist), alienationNaive(diss, dist); got != want {
+	if got, want := alienationOf(diss, dist, nil), alienationNaive(diss, dist); got != want {
 		t.Fatalf("small input not bit-identical to naive: %v vs %v", got, want)
 	}
 	diss, dist = randomPairSet(r, alienationNaiveMaxPairs+1, 0, 0.5)
-	if got, want := AlienationOf(diss, dist), alienationFast(diss, dist, nil); got != want {
+	if got, want := alienationOf(diss, dist, nil), alienationFast(diss, dist, nil); got != want {
 		t.Fatalf("large input did not take the fast path: %v vs %v", got, want)
 	}
 }

@@ -16,12 +16,11 @@ const (
 	// are clamped up to it.
 	MinLandmarks = 10
 
-	// DefaultLandmarkPolish is the full-matrix SMACOF iteration cap of
-	// the polish pass that follows landmark placement when
-	// Options.LandmarkPolish is zero. A handful of iterations from an
-	// already-assembled configuration recovers most of the full
-	// solve's fit at a fraction of its cost.
-	DefaultLandmarkPolish = 20
+	// landmarkPolish is the full-matrix SMACOF iteration cap of the
+	// polish pass that follows landmark placement. A handful of
+	// iterations from an already-assembled configuration recovers most
+	// of the full solve's fit at a fraction of its cost.
+	landmarkPolish = 20
 
 	// placementMaxIter and placementRelTol bound the per-point
 	// majorization that places a non-landmark against the fixed
@@ -136,7 +135,7 @@ func landmarkSSA(ctx context.Context, d *mat.Matrix, diss []pair, k int, opts Op
 	}
 
 	subOpts := opts
-	subOpts.Landmarks, subOpts.LandmarkSet, subOpts.LandmarkPolish = 0, nil, 0
+	subOpts.Landmarks, subOpts.LandmarkSet = 0, nil
 	sub, err := ssaMulti(ctx, dl, flattenPairs(dl), subOpts)
 	if err != nil {
 		return Result{}, err
@@ -174,14 +173,7 @@ func landmarkSSA(ctx context.Context, d *mat.Matrix, diss []pair, k int, opts Op
 	}
 
 	popts := subOpts
-	switch {
-	case opts.LandmarkPolish < 0:
-		popts.MaxIter = 0 // placement-only: ssaFrom still scores the configuration
-	case opts.LandmarkPolish == 0:
-		popts.MaxIter = DefaultLandmarkPolish
-	default:
-		popts.MaxIter = opts.LandmarkPolish
-	}
+	popts.MaxIter = landmarkPolish
 	res, err := ssaFrom(ctx, d, diss, x, sub.Start, popts)
 	if err != nil {
 		return Result{}, err

@@ -69,22 +69,16 @@ type Options struct {
 	// farthest-point sampling and embedded by the full multi-start
 	// solver, every remaining observation is placed independently by
 	// distance-based majorization against the fixed landmark
-	// positions, and LandmarkPolish full-matrix SMACOF iterations
-	// refine the assembled configuration. The full solve is O(starts ·
-	// iters · n²) while the landmark solve is O(starts · iters · k²)
-	// plus O(n·k) placement plus the short polish, so at n ≥ 1000 it
-	// is the difference between minutes and interactive time. 0 keeps
+	// positions, and at most 20 full-matrix SMACOF iterations
+	// (landmarkPolish; Result.Iterations reports them) refine the
+	// assembled configuration. The full solve is O(starts · iters · n²)
+	// while the landmark solve is O(starts · iters · k²) plus O(n·k)
+	// placement plus the short polish, so at n ≥ 1000 it is the
+	// difference between minutes and interactive time. 0 keeps
 	// the exact full solve. A warm-started solve (InitialConfig) never
 	// uses landmarks — a warm descent is already a few cheap
 	// iterations from its seed.
 	Landmarks int
-
-	// LandmarkPolish caps the full-matrix SMACOF polish that follows
-	// landmark placement: 0 means DefaultLandmarkPolish, negative
-	// disables the polish entirely (placement-only configuration), and
-	// a positive value is used as-is. Result.Iterations reports the
-	// polish iterations of a landmark solve.
-	LandmarkPolish int
 
 	// LandmarkSet pins the landmark indices instead of farthest-point
 	// sampling; it is consulted only when Landmarks > 0. The streaming

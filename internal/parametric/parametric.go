@@ -241,38 +241,3 @@ func ParamsOf(name string) (Params, error) {
 	}
 	return Params{}, fmt.Errorf("parametric: unknown observation %q", name)
 }
-
-// TrainingNames lists the observations backing the fit.
-func TrainingNames() []string {
-	out := make([]string, len(trainingData))
-	for i, r := range trainingData {
-		out[i] = r.name
-	}
-	return out
-}
-
-// TrueValue returns the published value of a derived variable for a
-// training observation (for evaluation of the fit).
-func TrueValue(name, code string) (float64, error) {
-	for _, row := range trainingData {
-		if row.name != name {
-			continue
-		}
-		switch code {
-		case "Rm":
-			return row.rm, nil
-		case "Ri":
-			return row.ri, nil
-		case "Pi":
-			return row.pi, nil
-		case "Cm":
-			return row.cm, nil
-		case "Ci":
-			return row.ci, nil
-		case "Ii":
-			return row.ii, nil
-		}
-		return 0, fmt.Errorf("parametric: unknown variable %q", code)
-	}
-	return 0, fmt.Errorf("parametric: unknown observation %q", name)
-}

@@ -121,11 +121,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *Source) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Norm returns a standard normal variate using the polar (Marsaglia)
 // method. Spare values are cached, so consecutive calls alternate between
 // generating a pair and returning the cached member.

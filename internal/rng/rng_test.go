@@ -202,15 +202,6 @@ func TestShufflePreservesMultiset(t *testing.T) {
 	}
 }
 
-func TestInt63NonNegative(t *testing.T) {
-	r := New(12)
-	for i := 0; i < 10000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 returned negative value")
-		}
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	var sink uint64

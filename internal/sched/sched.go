@@ -28,7 +28,7 @@ type Request struct {
 	Submit   float64 // submission time, seconds from log start
 	Procs    int     // requested processors
 	Runtime  float64 // dedicated execution time needed
-	Estimate float64 // user runtime estimate; <= 0 means Runtime×EstimateFactor
+	Estimate float64 // user runtime estimate; <= 0 means Runtime×estimateFactor
 
 	User, Group, Executable, Queue int
 
@@ -40,6 +40,10 @@ type Request struct {
 	Completes bool
 }
 
+// estimateFactor scales actual runtime into the user estimate when a
+// request carries none (users overestimate).
+const estimateFactor = 2
+
 // Options tune the simulation.
 type Options struct {
 	// MinPartition is the smallest partition of the power-of-two
@@ -48,17 +52,11 @@ type Options struct {
 	// GangSlots is the multiprogramming level of the gang scheduler
 	// (number of Ousterhout matrix rows). Default 4.
 	GangSlots int
-	// EstimateFactor scales actual runtime into the user estimate when a
-	// request carries none. Default 2 (users overestimate).
-	EstimateFactor float64
 }
 
 func (o Options) withDefaults() Options {
 	if o.GangSlots <= 0 {
 		o.GangSlots = 4
-	}
-	if o.EstimateFactor <= 0 {
-		o.EstimateFactor = 2
 	}
 	return o
 }
@@ -108,7 +106,7 @@ func Simulate(m machine.Machine, reqs []Request, opts Options) (*swf.Log, Stats,
 	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].Submit < sorted[b].Submit })
 	for i := range sorted {
 		if sorted[i].Estimate <= 0 {
-			sorted[i].Estimate = sorted[i].Runtime * opts.EstimateFactor
+			sorted[i].Estimate = sorted[i].Runtime * estimateFactor
 		}
 		if sorted[i].CPUFraction <= 0 {
 			sorted[i].CPUFraction = 1

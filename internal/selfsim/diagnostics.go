@@ -206,47 +206,3 @@ func yLabelFor(kind string) string {
 		return "Per(w)"
 	}
 }
-
-// AbsoluteMoments estimates H with the absolute-moments method, a
-// fourth estimator beyond the paper's three (an extension for
-// cross-checking): the first absolute moment of the centered aggregated
-// series scales as E|X^(m) − μ| ∝ m^{H−1}, so the log-log slope plus one
-// estimates H.
-func AbsoluteMoments(x []float64) (float64, error) {
-	d, err := AbsoluteMomentsData(x)
-	if err != nil {
-		return math.NaN(), err
-	}
-	return d.H, nil
-}
-
-// AbsoluteMomentsData returns the diagnostic behind AbsoluteMoments.
-func AbsoluteMomentsData(x []float64) (FitData, error) {
-	if len(x) < MinSeriesLen {
-		return FitData{}, fmt.Errorf("selfsim: series of %d too short (min %d)", len(x), MinSeriesLen)
-	}
-	mean := stats.Mean(x)
-	sizes := series.BlockSizes(1, len(x)/8, 1.5)
-	var ms, am []float64
-	for _, m := range sizes {
-		agg := series.Aggregate(x, m)
-		if len(agg) < 8 {
-			continue
-		}
-		s := 0.0
-		for _, v := range agg {
-			s += math.Abs(v - mean)
-		}
-		s /= float64(len(agg))
-		if s > 0 {
-			ms = append(ms, float64(m))
-			am = append(am, s)
-		}
-	}
-	slope, intercept, r, err := fitLogLog(ms, am)
-	if err != nil {
-		return FitData{}, err
-	}
-	return FitData{Kind: "absolute-moments", X: ms, Y: am,
-		Slope: slope, Intercept: intercept, R: r, H: clampH(slope + 1)}, nil
-}

@@ -110,38 +110,3 @@ func TestDiagnosticsShortSeries(t *testing.T) {
 		t.Fatal("empty diagnostic rendered")
 	}
 }
-
-func TestAbsoluteMomentsRecoversH(t *testing.T) {
-	for _, h := range []float64{0.5, 0.7, 0.9} {
-		x := genFGN(t, h, 1<<15, 60)
-		got, err := AbsoluteMoments(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-h) > 0.1 {
-			t.Fatalf("AM(H=%v) = %v", h, got)
-		}
-	}
-}
-
-func TestAbsoluteMomentsShortSeries(t *testing.T) {
-	if _, err := AbsoluteMoments(make([]float64, 10)); err == nil {
-		t.Fatal("short series accepted")
-	}
-}
-
-func TestAbsoluteMomentsAgreesWithVT(t *testing.T) {
-	// The two aggregation-based estimators should land close on clean fGn.
-	x := genFGN(t, 0.8, 1<<14, 61)
-	am, err := AbsoluteMoments(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vt, err := VarianceTime(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(am-vt) > 0.1 {
-		t.Fatalf("AM %v vs VT %v disagree", am, vt)
-	}
-}

@@ -1,15 +1,10 @@
 // Package series provides the time-series plumbing for the self-similarity
 // study: block aggregation X^(m) (equation 8 of the paper), sample
-// autocorrelation, log-log slope fitting shared by the three Hurst
-// estimators, and the construction of per-interval series from a job
-// stream (arrivals bucketed into fixed windows).
+// autocorrelation, and the geometric block sizes the aggregation-based
+// Hurst estimators sweep.
 package series
 
-import (
-	"math"
-
-	"coplot/internal/stats"
-)
+import "coplot/internal/stats"
 
 // Aggregate returns the aggregated series X^(m): the means of consecutive
 // non-overlapping blocks of size m. Trailing elements that do not fill a
@@ -26,16 +21,6 @@ func Aggregate(x []float64, m int) []float64 {
 			s += x[i*m+j]
 		}
 		out[i] = s / float64(m)
-	}
-	return out
-}
-
-// AggregateSum is Aggregate with block sums instead of means, used when
-// bucketing counts (e.g. work arriving per interval).
-func AggregateSum(x []float64, m int) []float64 {
-	out := Aggregate(x, m)
-	for i := range out {
-		out[i] *= float64(m)
 	}
 	return out
 }
@@ -62,71 +47,6 @@ func ACF(x []float64, maxLag int) []float64 {
 			num += (x[i] - m) * (x[i+k] - m)
 		}
 		out[k] = num / den
-	}
-	return out
-}
-
-// LogLogSlope fits a straight line to (log x, log y) by least squares and
-// returns the slope together with the correlation of the fit. Pairs with
-// non-positive x or y are skipped, as they have no logarithm.
-func LogLogSlope(xs, ys []float64) (slope, r float64) {
-	var lx, ly []float64
-	for i := range xs {
-		if i < len(ys) && xs[i] > 0 && ys[i] > 0 {
-			lx = append(lx, math.Log(xs[i]))
-			ly = append(ly, math.Log(ys[i]))
-		}
-	}
-	if len(lx) < 2 {
-		return math.NaN(), math.NaN()
-	}
-	slope, _, r = stats.OLS(lx, ly)
-	return slope, r
-}
-
-// Bucket counts how much "weight" lands in each fixed-width time window.
-// times and weights must have equal length; windows holds the per-window
-// totals from min(times) over ceil(span/width) windows. Used to turn a
-// job stream into the four per-interval series of the paper's Table 3:
-// weight 1 per job gives arrival counts; weight = processors gives the
-// used-processors series, and so on.
-func Bucket(times, weights []float64, width float64) []float64 {
-	if len(times) == 0 || width <= 0 {
-		return nil
-	}
-	lo, hi := times[0], times[0]
-	for _, t := range times {
-		if t < lo {
-			lo = t
-		}
-		if t > hi {
-			hi = t
-		}
-	}
-	n := int((hi-lo)/width) + 1
-	out := make([]float64, n)
-	for i, t := range times {
-		idx := int((t - lo) / width)
-		if idx >= n {
-			idx = n - 1
-		}
-		w := 1.0
-		if weights != nil {
-			w = weights[i]
-		}
-		out[idx] += w
-	}
-	return out
-}
-
-// Diff returns the first differences of x (length len(x)-1).
-func Diff(x []float64) []float64 {
-	if len(x) < 2 {
-		return nil
-	}
-	out := make([]float64, len(x)-1)
-	for i := range out {
-		out[i] = x[i+1] - x[i]
 	}
 	return out
 }

@@ -42,14 +42,6 @@ func TestAggregatePanicsOnBadM(t *testing.T) {
 	Aggregate([]float64{1}, 0)
 }
 
-func TestAggregateSum(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	got := AggregateSum(x, 2)
-	if got[0] != 3 || got[1] != 7 {
-		t.Fatalf("AggregateSum = %v", got)
-	}
-}
-
 func TestAggregateMeanPreserved(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 50}
 	err := quick.Check(func(seed uint64) bool {
@@ -115,107 +107,6 @@ func TestACFMaxLagClamped(t *testing.T) {
 	acf := ACF([]float64{1, 2, 3}, 10)
 	if len(acf) != 3 {
 		t.Fatalf("len = %d, want 3", len(acf))
-	}
-}
-
-func TestLogLogSlopeExactPowerLaw(t *testing.T) {
-	// y = 3 x^{-0.7}
-	xs := []float64{1, 2, 4, 8, 16, 32}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 3 * math.Pow(x, -0.7)
-	}
-	slope, r := LogLogSlope(xs, ys)
-	if math.Abs(slope+0.7) > 1e-12 {
-		t.Fatalf("slope = %v, want -0.7", slope)
-	}
-	if math.Abs(math.Abs(r)-1) > 1e-9 {
-		t.Fatalf("r = %v", r)
-	}
-}
-
-func TestLogLogSlopeSkipsNonPositive(t *testing.T) {
-	xs := []float64{1, 2, -1, 4, 0}
-	ys := []float64{2, 4, 5, 8, 1}
-	slope, _ := LogLogSlope(xs, ys) // only (1,2),(2,4),(4,8) used: slope 1
-	if math.Abs(slope-1) > 1e-12 {
-		t.Fatalf("slope = %v, want 1", slope)
-	}
-}
-
-func TestLogLogSlopeDegenerate(t *testing.T) {
-	if s, _ := LogLogSlope([]float64{1}, []float64{1}); !math.IsNaN(s) {
-		t.Fatal("single point should yield NaN")
-	}
-}
-
-func TestBucketCounts(t *testing.T) {
-	times := []float64{0, 0.5, 1.2, 3.9}
-	got := Bucket(times, nil, 1)
-	want := []float64{2, 1, 0, 1}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Bucket = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestBucketWeights(t *testing.T) {
-	times := []float64{0, 0.5, 1.5}
-	weights := []float64{10, 20, 5}
-	got := Bucket(times, weights, 1)
-	if got[0] != 30 || got[1] != 5 {
-		t.Fatalf("Bucket = %v", got)
-	}
-}
-
-func TestBucketTotalPreserved(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 50}
-	err := quick.Check(func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 1 + r.Intn(200)
-		times := make([]float64, n)
-		weights := make([]float64, n)
-		acc := 0.0
-		for i := range times {
-			acc += r.Exp()
-			times[i] = acc
-			weights[i] = math.Abs(r.Norm()) + 0.1
-		}
-		buckets := Bucket(times, weights, 5)
-		return math.Abs(stats.Sum(buckets)-stats.Sum(weights)) < 1e-9
-	}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBucketEdgeCases(t *testing.T) {
-	if Bucket(nil, nil, 1) != nil {
-		t.Fatal("empty input should be nil")
-	}
-	if Bucket([]float64{1}, nil, 0) != nil {
-		t.Fatal("zero width should be nil")
-	}
-	got := Bucket([]float64{5}, nil, 10)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("single point bucket = %v", got)
-	}
-}
-
-func TestDiff(t *testing.T) {
-	got := Diff([]float64{1, 4, 9, 16})
-	want := []float64{3, 5, 7}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Diff = %v", got)
-		}
-	}
-	if Diff([]float64{1}) != nil {
-		t.Fatal("short Diff should be nil")
 	}
 }
 

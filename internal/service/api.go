@@ -124,13 +124,8 @@ func (s *Service) defaultValue(o coplotclient.Option) string {
 	if !ok {
 		return o.Value()
 	}
-	switch flag {
-	case "-landmarks":
+	if flag == "-landmarks" {
 		return strconv.Itoa(s.cfg.Landmarks)
-	case "-drift-pos":
-		return strconv.FormatFloat(s.streamDriftPos(), 'g', -1, 64)
-	case "-drift-angle":
-		return strconv.FormatFloat(s.streamDriftAngle(), 'g', -1, 64)
 	}
 	panic(fmt.Sprintf("option %s: default %q names no server setting", o.Name, o.Default))
 }

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"coplot/internal/stream"
 	"coplot/pkg/coplotclient"
 )
 
@@ -79,6 +80,24 @@ func TestDeclaredDefaultsParse(t *testing.T) {
 				t.Errorf("%s %s: default %q of %s: %v", rt.Method, rt.Path, o.Default, o.Name, err)
 			}
 		}
+	}
+}
+
+// TestStreamDriftDefaultsMatchStream: the drift defaults StreamOptions
+// declares are the stream layer's own, so a stream created without the
+// options drifts exactly as one created directly with a zero Config.
+func TestStreamDriftDefaultsMatchStream(t *testing.T) {
+	want := map[string]float64{"drift-pos": stream.DefaultDriftPos, "drift-angle": stream.DefaultDriftAngle}
+	for _, o := range coplotclient.Declared(reflect.TypeOf(coplotclient.StreamOptions{})) {
+		if w, ok := want[o.Name]; ok {
+			if got := o.Value(); got != strconv.FormatFloat(w, 'g', -1, 64) {
+				t.Errorf("%s declares default %q, the stream layer's is %v", o.Name, got, w)
+			}
+			delete(want, o.Name)
+		}
+	}
+	if len(want) != 0 {
+		t.Errorf("StreamOptions no longer declares %v", want)
 	}
 }
 

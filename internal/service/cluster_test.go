@@ -10,8 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"coplot/internal/obs"
 )
 
 // clusterReplica is one in-process coplotd replica of the acceptance
@@ -46,7 +44,6 @@ func startCluster(t *testing.T, n int) []*clusterReplica {
 			Self:        urls[i],
 			PeerTimeout: 500 * time.Millisecond,
 			PeerRetries: 0,
-			Seed:        11,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -125,7 +122,7 @@ func TestClusterAcceptance(t *testing.T) {
 	// A's manifest lists the local tier plus one peer tier per remote
 	// replica, with at least one back-fill delivered (four keys across
 	// a three-member ring: some owner is remote).
-	m := a.svc.Manifest(obs.RunInfo{Tool: "test"})
+	m := a.svc.Manifest()
 	var peerTiers, fills int
 	for _, ts := range m.Storage {
 		if strings.HasPrefix(ts.Tier, "peer:") {

@@ -50,7 +50,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) error {
 // idempotent — the entry's ID is a content hash of exactly those
 // inputs.
 func (s *Service) corpusAdmit(w http.ResponseWriter, r *http.Request, o *coplotclient.CorpusAdmitOptions) error {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody()))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		return classifyBody(err)
 	}
@@ -222,7 +222,7 @@ func (s *Service) peerIndex(ctx context.Context, peer string) []*corpus.Entry {
 		return nil
 	}
 	var wires []corpus.WireEntry
-	if err := json.NewDecoder(io.LimitReader(resp.Body, s.maxBody())).Decode(&wires); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&wires); err != nil {
 		return nil
 	}
 	out := make([]*corpus.Entry, 0, len(wires))

@@ -19,6 +19,14 @@ import (
 	"coplot/internal/stream"
 )
 
+// maxBodyBytes caps a request body and an exchanged artifact.
+const maxBodyBytes = 64 << 20
+
+// retrySeed drives the retry-backoff jitter. Analysis seeds come from
+// each request (the "seed" query parameter), never from here, so
+// responses do not depend on server configuration.
+const retrySeed = 7
+
 // Config tunes a Service; the zero value serves with defaults.
 type Config struct {
 	// Jobs sizes the one par.Budget every in-flight request draws its
@@ -39,8 +47,6 @@ type Config struct {
 	// content-addressed files there and survive restarts. Empty means
 	// memory only.
 	CacheDir string
-	// MaxBodyBytes caps a request body (0 = 64 MiB).
-	MaxBodyBytes int64
 	// RequestTimeout bounds one request across all attempts (0 = none);
 	// an expired request is answered 504.
 	RequestTimeout time.Duration
@@ -54,10 +60,6 @@ type Config struct {
 	// Backoff is the base delay before the first retry (0 = engine
 	// default).
 	Backoff time.Duration
-	// Seed drives the retry-backoff jitter. Analysis seeds come from
-	// each request (the "seed" query parameter), not from here, so
-	// responses do not depend on server configuration.
-	Seed uint64
 	// Peers is the full cluster member list (base URLs, including
 	// Self). When set, the cache backend is wrapped in the peer-aware
 	// cluster tier — misses try a peer fill from the key's owner
@@ -68,9 +70,6 @@ type Config struct {
 	// Self is this replica's own base URL as the other replicas reach
 	// it; required when Peers is set, must appear in Peers.
 	Self string
-	// RingReplicas is the consistent-hash ring's virtual nodes per
-	// member (0 = cluster.DefaultVNodes).
-	RingReplicas int
 	// PeerTimeout bounds each peer fetch or back-fill attempt
 	// (0 = cluster.DefaultTimeout).
 	PeerTimeout time.Duration
@@ -84,15 +83,6 @@ type Config struct {
 	// MaxStreams caps the live streams the /v1/stream endpoints hold
 	// (0 = 64). Streams past the cap are refused 409 at creation.
 	MaxStreams int
-	// DriftPos is the default positional drift threshold for newly
-	// created streams, as a fraction of the previous map's RMS radius
-	// (0 = stream.DefaultDriftPos). Per-stream "drift-pos" options
-	// override it.
-	DriftPos float64
-	// DriftAngle is the default arrow drift threshold in radians for
-	// newly created streams (0 = stream.DefaultDriftAngle). Per-stream
-	// "drift-angle" options override it.
-	DriftAngle float64
 	// Landmarks is the default landmark count for analyses and
 	// streams: matrices with more observations than this are embedded
 	// by landmark MDS instead of the exact full solve
@@ -153,10 +143,8 @@ func New(cfg Config) (*Service, error) {
 		peer, err := cluster.New(cluster.Config{
 			Self:    cfg.Self,
 			Peers:   cfg.Peers,
-			VNodes:  cfg.RingReplicas,
 			Timeout: cfg.PeerTimeout,
 			Retries: cfg.PeerRetries,
-			Seed:    cfg.Seed,
 			Local:   backend,
 			Codec:   responseCodec{},
 		})
@@ -165,7 +153,7 @@ func New(cfg Config) (*Service, error) {
 		}
 		// The exchange endpoints serve the LOCAL backend: a peer asking
 		// this replica for an artifact sees only what is resident here.
-		h := cluster.NewHandler(backend, responseCodec{}, s.maxBody())
+		h := cluster.NewHandler(backend, responseCodec{}, maxBodyBytes)
 		s.mux.Handle("GET /internal/v1/artifact/{key}", h)
 		s.mux.Handle("PUT /internal/v1/artifact/{key}", h)
 		s.peers = len(peer.Ring().Members()) - 1
@@ -226,14 +214,6 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Metrics exposes the service's aggregate counters (tests and the
 // /metrics endpoint read the same object).
 func (s *Service) Metrics() *obs.Metrics { return s.metrics }
-
-// maxBody is the request/artifact body cap in effect.
-func (s *Service) maxBody() int64 {
-	if s.cfg.MaxBodyBytes > 0 {
-		return s.cfg.MaxBodyBytes
-	}
-	return 64 << 20
-}
 
 // Serve runs the service on ln until stop delivers, then drains:
 // in-flight requests get up to drain (0 = no limit) to finish while
@@ -358,7 +338,7 @@ func (s *Service) endpoint(name string, h handlerFunc) http.Handler {
 			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 			defer cancel()
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody()))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
 			s.fail(w, name, classifyBody(err))
 			return
@@ -379,7 +359,7 @@ func (s *Service) endpoint(name string, h handlerFunc) http.Handler {
 		// keys are served; the key itself rides on the store events
 		// and the X-Coplot-Key header.
 		computed := false
-		pol := engine.RetryPolicy{MaxAttempts: s.cfg.Retries + 1, BaseBackoff: s.cfg.Backoff, Seed: s.cfg.Seed}
+		pol := engine.RetryPolicy{MaxAttempts: s.cfg.Retries + 1, BaseBackoff: s.cfg.Backoff, Seed: retrySeed}
 		start := time.Now()
 		obs.Emit(s.sink, obs.Event{Kind: obs.KindTaskStart, Name: name})
 		v, err := engine.Do(ctx, name, pol, s.cfg.AttemptTimeout, s.sink, func(ctx context.Context) (any, error) {
@@ -433,12 +413,14 @@ func (s *Service) healthz(w http.ResponseWriter, r *http.Request) {
 		len(s.sem), cap(s.sem), s.store.Bytes(), s.budget.Size(), s.peers)
 }
 
-// Manifest snapshots the service's aggregate manifest under info,
-// stamping the cache backend's per-tier storage counters on top of the
-// event-stream aggregate. The /metrics endpoint, the -manifest exit
-// file, and tests all read this one form.
-func (s *Service) Manifest(info obs.RunInfo) *obs.Manifest {
-	m := s.metrics.Manifest(info)
+// Manifest snapshots the service's aggregate manifest, stamping the
+// cache backend's per-tier storage counters on top of the event-stream
+// aggregate. The /metrics endpoint, the -manifest exit file, and tests
+// all read this one form.
+func (s *Service) Manifest() *obs.Manifest {
+	m := s.metrics.Manifest(obs.RunInfo{
+		Tool: "coplotd", Seed: retrySeed, Jobs: s.cfg.Jobs, Timeout: s.cfg.RequestTimeout,
+	})
 	if s.corpus != nil {
 		cs := s.corpus.Stats()
 		m.Corpus = &obs.CorpusStats{
@@ -463,9 +445,7 @@ func (s *Service) Manifest(info obs.RunInfo) *obs.Manifest {
 // batch CLIs write with -manifest, accumulated over the service's
 // lifetime.
 func (s *Service) metricsHandler(w http.ResponseWriter, r *http.Request) {
-	m := s.Manifest(obs.RunInfo{
-		Tool: "coplotd", Seed: s.cfg.Seed, Jobs: s.cfg.Jobs, Timeout: s.cfg.RequestTimeout,
-	})
+	m := s.Manifest()
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -607,7 +607,7 @@ func TestCachePersistsAcrossRestart(t *testing.T) {
 	}
 
 	// The manifest reports both tiers: the hit came from disk.
-	m := svc2.Manifest(obs.RunInfo{Tool: "test"})
+	m := svc2.Manifest()
 	if len(m.Storage) != 2 || m.Storage[0].Tier != "memory" || m.Storage[1].Tier != "disk" {
 		t.Fatalf("storage tiers = %+v, want memory+disk", m.Storage)
 	}
@@ -661,7 +661,7 @@ func TestMetricsTasksBoundedByRoutes(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("variables: status %d: %s", resp.StatusCode, body)
 	}
-	m := svc.Manifest(obs.RunInfo{Tool: "test"})
+	m := svc.Manifest()
 	var names []string
 	for _, task := range m.Tasks {
 		names = append(names, task.Name)

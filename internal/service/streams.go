@@ -42,22 +42,6 @@ func (s *Service) streamConfig(o *coplotclient.StreamOptions) (stream.Config, er
 	}, nil
 }
 
-// streamDriftPos is the service-wide positional drift default.
-func (s *Service) streamDriftPos() float64 {
-	if s.cfg.DriftPos != 0 {
-		return s.cfg.DriftPos
-	}
-	return stream.DefaultDriftPos
-}
-
-// streamDriftAngle is the service-wide arrow drift default.
-func (s *Service) streamDriftAngle() float64 {
-	if s.cfg.DriftAngle != 0 {
-		return s.cfg.DriftAngle
-	}
-	return stream.DefaultDriftAngle
-}
-
 // checkPinned compares the options a follow-up append carries, as
 // decoded values, against the ones pinned at creation; any that differ
 // is a conflict (409) — one stream, one configuration. Both tags list
@@ -89,7 +73,7 @@ func (s *Service) streamAppend(w http.ResponseWriter, r *http.Request, o *coplot
 	if err != nil {
 		return err
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody()))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		return classifyBody(err)
 	}

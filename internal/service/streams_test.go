@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"coplot"
-	"coplot/internal/obs"
 	"coplot/internal/swf"
 )
 
@@ -129,7 +128,7 @@ func TestStreamLifecycle(t *testing.T) {
 		t.Fatalf("deleted stream still answers %d", r.StatusCode)
 	}
 
-	m := svc.Manifest(obs.RunInfo{Tool: "test"})
+	m := svc.Manifest()
 	if m.Stream == nil || m.Stream.Updates != 6 {
 		t.Fatalf("manifest stream stats: %+v", m.Stream)
 	}

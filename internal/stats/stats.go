@@ -42,20 +42,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// SampleVariance returns the unbiased sample variance (divide by n-1).
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
-
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
@@ -70,15 +56,6 @@ func Quantile(xs []float64, p float64) float64 {
 	a := append([]float64(nil), xs...)
 	selectQuantiles(a, p)
 	return quantileSorted(a, p)
-}
-
-// QuantileSorted is Quantile for input already sorted ascending; it avoids
-// the copy and sort.
-func QuantileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 || p < 0 || p > 1 {
-		return math.NaN()
-	}
-	return quantileSorted(sorted, p)
 }
 
 func quantileSorted(sorted []float64, p float64) float64 {
@@ -108,18 +85,6 @@ func Interval90(xs []float64) float64 {
 	a := append([]float64(nil), xs...)
 	selectQuantiles(a, 0.05, 0.95)
 	return quantileSorted(a, 0.95) - quantileSorted(a, 0.05)
-}
-
-// Interval50 returns the interquartile-style 50% interval (75th minus 25th
-// percentile), which the paper reports gives virtually the same Co-plot
-// results as the 90% interval.
-func Interval50(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	a := append([]float64(nil), xs...)
-	selectQuantiles(a, 0.25, 0.75)
-	return quantileSorted(a, 0.75) - quantileSorted(a, 0.25)
 }
 
 // MedianAndInterval returns the median together with the q-interval
@@ -409,66 +374,4 @@ func (s *PAVAScratch) Fit(dst, ys, weights []float64) {
 			k++
 		}
 	}
-}
-
-// Min returns the smallest element of xs (NaN for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs (NaN for empty input).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// KendallTau returns Kendall's τ-a rank correlation of xs and ys: the
-// normalized difference between concordant and discordant pairs. It is
-// the robustness cross-check for Pearson/Spearman on the small
-// observation sets Co-plot works with. O(n²), fine for n in the tens.
-func KendallTau(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return math.NaN()
-	}
-	n := len(xs)
-	conc := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx := xs[i] - xs[j]
-			dy := ys[i] - ys[j]
-			switch {
-			case dx*dy > 0:
-				conc++
-			case dx*dy < 0:
-				conc--
-			}
-		}
-	}
-	return float64(conc) / float64(n*(n-1)/2)
 }

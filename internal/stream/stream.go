@@ -50,7 +50,7 @@ import (
 	"coplot/internal/workload"
 )
 
-// Defaults for Config's zero values.
+// Defaults for Config's zero drift thresholds.
 const (
 	// DefaultDriftPos is the positional drift threshold: an aligned
 	// per-point displacement beyond this fraction of the previous
@@ -59,32 +59,48 @@ const (
 	// DefaultDriftAngle is the arrow drift threshold in radians
 	// (≈ 20°).
 	DefaultDriftAngle = 0.35
-	// DefaultMaxObservations bounds the observations per stream.
-	DefaultMaxObservations = 64
-	// DefaultMaxJobs bounds the accumulated jobs per observation.
-	DefaultMaxJobs = 1 << 20
-	// DefaultWarmMaxIter caps a warm descent before re-anchoring: a
-	// tracking update that is going to converge does so in tens of
-	// iterations; one still descending at the cap is wandering between
-	// local minima and a cold multi-start is both cheaper and better.
-	DefaultWarmMaxIter = 120
-	// DefaultReanchorMargin is the alienation slack a warm solve gets
-	// over the previous accepted solve before re-anchoring.
-	DefaultReanchorMargin = 0.02
-	// DefaultMaxWarmShift is the trust-region radius around the last
-	// cold anchor, as a fraction of the anchor's RMS radius. Genuine
-	// per-chunk motion on a near-stationary stream is well below it; a
-	// slide toward a neighboring local minimum of the rank-image
-	// stress landscape (empirically ≥ 0.25 away) is far above it. The
-	// radius also bounds how far a stream's map can drift from its
-	// last cold anchor before re-anchoring, which in turn bounds the
-	// streamed-vs-batch gap the equivalence suite thresholds.
-	DefaultMaxWarmShift = 0.05
-	// DefaultWarmTol is the warm descent's stopping tolerance.
-	DefaultWarmTol = 1e-2
 )
 
-// Config tunes a Stream; zero fields take the defaults above.
+// Fixed limits of a stream and of its warm-start policy.
+const (
+	// maxObservations bounds the observations per stream.
+	maxObservations = 64
+	// maxJobs bounds the accumulated jobs per observation.
+	maxJobs = 1 << 20
+	// warmMaxIter caps a warm descent's SMACOF iterations. A warm solve
+	// that has not converged within the cap is discarded and the update
+	// re-anchors on a cold multi-start — the bound that keeps the
+	// streaming fast path fast: a tracking update that is going to
+	// converge does so in tens of iterations; one still descending at
+	// the cap is wandering between local minima and a cold multi-start
+	// is both cheaper and better.
+	warmMaxIter = 120
+	// reanchorMargin is how much a warm solve's alienation may exceed
+	// the previous accepted solve's before the update re-anchors cold.
+	reanchorMargin = 0.02
+	// maxWarmShift is the trust region around the last cold anchor:
+	// the largest Procrustes-aligned relative RMSD a warm solve may put
+	// between itself and the last cold configuration, as a fraction of
+	// the anchor's RMS radius, before the update re-anchors cold.
+	// Genuine per-chunk motion on a near-stationary stream is well
+	// below it; a slide toward a neighboring local minimum of the
+	// rank-image stress landscape (empirically ≥ 0.25 away) is far
+	// above it. The radius also bounds how far a stream's map can drift
+	// from its last cold anchor before re-anchoring, which in turn
+	// bounds the streamed-vs-batch gap the equivalence suite
+	// thresholds.
+	maxWarmShift = 0.05
+	// warmTol is the relative stress-improvement stopping tolerance of
+	// a warm descent. Deliberately coarser than the cold solver's: a
+	// warm seed starts near-converged, so the first iterations correct
+	// the data-induced error in large steps and the descent should stop
+	// when improvements go marginal, instead of creeping along the
+	// near-flat valleys of the rank-image landscape away from the
+	// anchored solution.
+	warmTol = 1e-2
+)
+
+// Config tunes a Stream; zero fields take the defaults.
 type Config struct {
 	// Name labels the stream in events and errors (the registry sets
 	// it to the stream id).
@@ -117,34 +133,6 @@ type Config struct {
 	// DriftAngle is the arrow-angle drift threshold in radians
 	// (0 = DefaultDriftAngle, negative disables arrow drift).
 	DriftAngle float64
-	// MaxObservations bounds the observations per stream
-	// (0 = DefaultMaxObservations).
-	MaxObservations int
-	// MaxJobs bounds the accumulated jobs per observation
-	// (0 = DefaultMaxJobs).
-	MaxJobs int
-	// WarmMaxIter caps a warm descent's SMACOF iterations
-	// (0 = DefaultWarmMaxIter). A warm solve that has not converged
-	// within the cap is discarded and the update re-anchors on a cold
-	// multi-start — the bound that keeps the streaming fast path fast.
-	WarmMaxIter int
-	// ReanchorMargin is how much a warm solve's alienation may exceed
-	// the previous accepted solve's before the update re-anchors cold
-	// (0 = DefaultReanchorMargin).
-	ReanchorMargin float64
-	// MaxWarmShift is the trust region around the last cold anchor:
-	// the largest Procrustes-aligned relative RMSD a warm solve may
-	// put between itself and the last cold configuration before the
-	// update re-anchors cold (0 = DefaultMaxWarmShift).
-	MaxWarmShift float64
-	// WarmTol is the relative stress-improvement stopping tolerance of
-	// a warm descent (0 = DefaultWarmTol). Deliberately coarser than
-	// the cold solver's: a warm seed starts near-converged, so the
-	// first iterations correct the data-induced error in large steps
-	// and the descent should stop when improvements go marginal,
-	// instead of creeping along the near-flat valleys of the rank-image
-	// landscape away from the anchored solution.
-	WarmTol float64
 	// Sink receives stream.update and stream.drift events; nil means
 	// no events.
 	Sink obs.Sink
@@ -169,24 +157,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DriftAngle == 0 {
 		c.DriftAngle = DefaultDriftAngle
-	}
-	if c.MaxObservations <= 0 {
-		c.MaxObservations = DefaultMaxObservations
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = DefaultMaxJobs
-	}
-	if c.WarmMaxIter <= 0 {
-		c.WarmMaxIter = DefaultWarmMaxIter
-	}
-	if c.ReanchorMargin <= 0 {
-		c.ReanchorMargin = DefaultReanchorMargin
-	}
-	if c.MaxWarmShift <= 0 {
-		c.MaxWarmShift = DefaultMaxWarmShift
-	}
-	if c.WarmTol <= 0 {
-		c.WarmTol = DefaultWarmTol
 	}
 	return c
 }
@@ -322,10 +292,11 @@ type Snapshot struct {
 	Warm bool `json:"warm"`
 	// Reanchor classifies why a cold solve ran when Warm is false:
 	// "first" (no prior embedding), "set-changed" (observations were
-	// added), "no-converge" (the warm descent hit WarmMaxIter),
-	// "fit-degraded" (warm alienation exceeded ReanchorMargin), or
-	// "basin-shift" (warm left the trust region around the cold
-	// anchor). Empty on warm snapshots.
+	// added), "no-converge" (the warm descent did not converge within
+	// 120 iterations), "fit-degraded" (warm alienation exceeded the
+	// previous accepted solve's by more than 0.02), or "basin-shift"
+	// (warm moved more than 5% of the cold anchor's RMS radius away
+	// from it). Empty on warm snapshots.
 	Reanchor string `json:"reanchor,omitempty"`
 	// Iterations the SMACOF descent performed for this embedding.
 	Iterations int `json:"iterations,omitempty"`
@@ -345,11 +316,11 @@ type Snapshot struct {
 }
 
 // ErrTooManyObservations rejects an append that would create an
-// observation past Config.MaxObservations.
+// observation past the 64 a stream holds.
 var ErrTooManyObservations = errors.New("stream: too many observations")
 
 // ErrTooManyJobs rejects a chunk that would grow an observation past
-// Config.MaxJobs.
+// 2^20 jobs.
 var ErrTooManyJobs = errors.New("stream: too many jobs")
 
 // Append parses chunk as SWF records, folds them into the named
@@ -371,8 +342,8 @@ func (s *Stream) Append(ctx context.Context, obsName string, chunk []byte) (*Sna
 	defer s.mu.Unlock()
 
 	idx, ok := s.obsIdx[obsName]
-	if !ok && len(s.obsList) >= s.cfg.MaxObservations {
-		return nil, fmt.Errorf("%w: %d", ErrTooManyObservations, s.cfg.MaxObservations)
+	if !ok && len(s.obsList) >= maxObservations {
+		return nil, fmt.Errorf("%w: %d", ErrTooManyObservations, maxObservations)
 	}
 	var o *observation
 	if ok {
@@ -380,8 +351,8 @@ func (s *Stream) Append(ctx context.Context, obsName string, chunk []byte) (*Sna
 	} else {
 		o = &observation{name: obsName, row: -1}
 	}
-	if len(o.jobs)+len(parsed.Jobs) > s.cfg.MaxJobs {
-		return nil, fmt.Errorf("%w: %s would exceed %d", ErrTooManyJobs, obsName, s.cfg.MaxJobs)
+	if len(o.jobs)+len(parsed.Jobs) > maxJobs {
+		return nil, fmt.Errorf("%w: %s would exceed %d", ErrTooManyJobs, obsName, maxJobs)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -489,7 +460,7 @@ func (s *Stream) embed(ctx context.Context, o *observation) *Snapshot {
 	// Solve policy: try a single warm descent seeded by the previous
 	// configuration whenever the observation set is unchanged, and
 	// accept it only if it (a) converged within the warm iteration
-	// cap, (b) kept the fit within ReanchorMargin of the last accepted
+	// cap, (b) kept the fit within reanchorMargin of the last accepted
 	// alienation, and (c) stayed inside the trust region around the
 	// last cold configuration. Anything else — a changed observation
 	// set, a wandering descent, a degrading fit, a basin hop —
@@ -523,8 +494,8 @@ func (s *Stream) embed(ctx context.Context, o *observation) *Snapshot {
 		wopts := cold
 		wopts.InitialConfig = prev
 		wopts.Restarts = -1
-		wopts.MaxIter = s.cfg.WarmMaxIter
-		wopts.Tol = s.cfg.WarmTol
+		wopts.MaxIter = warmMaxIter
+		wopts.Tol = warmTol
 		wemb, werr := core.Embed(ctx, s.cfg.Variables, s.z, s.d, wopts)
 		wfit := wemb.Fit
 		if werr == nil {
@@ -535,13 +506,13 @@ func (s *Stream) embed(ctx context.Context, o *observation) *Snapshot {
 			mds.ScaleToDissim(wfit.Config, s.d)
 		}
 		switch {
-		case werr != nil || !wfit.Converged || wfit.Iterations >= s.cfg.WarmMaxIter:
+		case werr != nil || !wfit.Converged || wfit.Iterations >= warmMaxIter:
 			// !Converged covers both an exhausted iteration cap and a
-			// descent that halted on a stress rise beyond WarmTol —
+			// descent that halted on a stress rise beyond warmTol —
 			// the latter used to masquerade as convergence and let a
 			// degrading warm solve through this gate.
 			reanchor = "no-converge"
-		case wfit.Alienation > s.prev.Fit.Alienation+s.cfg.ReanchorMargin:
+		case wfit.Alienation > s.prev.Fit.Alienation+reanchorMargin:
 			reanchor = "fit-degraded"
 		case !s.insideTrustRegion(wfit.Config):
 			reanchor = "basin-shift"
@@ -593,7 +564,7 @@ func (s *Stream) embed(ctx context.Context, o *observation) *Snapshot {
 	return snap
 }
 
-// insideTrustRegion reports whether config sits within MaxWarmShift of
+// insideTrustRegion reports whether config sits within maxWarmShift of
 // the last cold anchor (Procrustes-aligned, relative to the anchor's
 // RMS radius). No anchor, or an anchor for a different observation
 // count, fails closed — the caller then re-anchors cold.
@@ -609,7 +580,7 @@ func (s *Stream) insideTrustRegion(config *mat.Matrix) bool {
 	if err != nil {
 		return false
 	}
-	return rmsd/scale <= s.cfg.MaxWarmShift
+	return rmsd/scale <= maxWarmShift
 }
 
 // drift compares the new embedding against the previous one:

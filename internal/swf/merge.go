@@ -26,11 +26,6 @@ func Merge(logs ...*Log) *Log {
 	return out
 }
 
-// Window returns the sub-log of jobs submitted in [from, to).
-func (l *Log) Window(from, to float64) *Log {
-	return l.Filter(func(j Job) bool { return j.Submit >= from && j.Submit < to })
-}
-
 // ShiftTime adds delta to every submit time, e.g. to splice logs
 // end-to-end.
 func (l *Log) ShiftTime(delta float64) *Log {

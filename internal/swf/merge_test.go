@@ -42,14 +42,6 @@ func TestMergeNilAndEmpty(t *testing.T) {
 	}
 }
 
-func TestWindow(t *testing.T) {
-	l := &Log{Jobs: []Job{{Submit: 1}, {Submit: 5}, {Submit: 9}}}
-	w := l.Window(2, 9)
-	if len(w.Jobs) != 1 || w.Jobs[0].Submit != 5 {
-		t.Fatalf("window = %+v", w.Jobs)
-	}
-}
-
 func TestShiftTime(t *testing.T) {
 	l := &Log{Jobs: []Job{{Submit: 1}, {Submit: 5}}}
 	s := l.ShiftTime(100)

@@ -80,8 +80,6 @@ type Options struct {
 	// TopUserWarn flags logs where one user submitted more than this
 	// fraction of all jobs (system dedication). Default 0.5.
 	TopUserWarn float64
-	// MaxIssuesPerCode caps repeated reports of one code (0 = 100).
-	MaxIssuesPerCode int
 }
 
 func (o Options) withDefaults() Options {
@@ -91,18 +89,19 @@ func (o Options) withDefaults() Options {
 	if o.TopUserWarn <= 0 {
 		o.TopUserWarn = 0.5
 	}
-	if o.MaxIssuesPerCode <= 0 {
-		o.MaxIssuesPerCode = 100
-	}
 	return o
 }
+
+// maxIssuesPerCode caps the reported issues of one code; Report.Counts
+// still counts them all.
+const maxIssuesPerCode = 100
 
 // Check audits a log against its machine description.
 func Check(log *swf.Log, m machine.Machine, opts Options) *Report {
 	opts = opts.withDefaults()
 	rep := &Report{Counts: map[string]int{}}
 	add := func(sev Severity, code string, jobID int, format string, args ...interface{}) {
-		if rep.Counts[code] >= opts.MaxIssuesPerCode {
+		if rep.Counts[code] >= maxIssuesPerCode {
 			rep.Counts[code]++
 			return
 		}

@@ -155,14 +155,14 @@ func TestPrecedenceChecks(t *testing.T) {
 
 func TestIssueCap(t *testing.T) {
 	log := &swf.Log{}
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 150; i++ {
 		j := cleanJob(i+1, float64(i))
 		j.Procs = 0
 		log.Jobs = append(log.Jobs, j)
 	}
-	rep := Check(log, m128(), Options{MaxIssuesPerCode: 5})
-	if rep.Counts["bad-procs"] != 50 {
-		t.Fatalf("count = %d, want 50", rep.Counts["bad-procs"])
+	rep := Check(log, m128(), Options{})
+	if rep.Counts["bad-procs"] != 150 {
+		t.Fatalf("count = %d, want 150", rep.Counts["bad-procs"])
 	}
 	emitted := 0
 	for _, i := range rep.Issues {
@@ -170,8 +170,8 @@ func TestIssueCap(t *testing.T) {
 			emitted++
 		}
 	}
-	if emitted != 5 {
-		t.Fatalf("emitted = %d, want capped at 5", emitted)
+	if emitted != maxIssuesPerCode {
+		t.Fatalf("emitted = %d, want capped at %d", emitted, maxIssuesPerCode)
 	}
 }
 

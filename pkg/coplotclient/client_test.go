@@ -41,7 +41,7 @@ const testCSV = "name,x,y\na,1,10\nb,2,20\nc,3,28\nd,4,41\ne,5,52\n"
 // newClient serves a fresh coplotd with known server defaults.
 func newClient(t *testing.T) *coplotclient.Client {
 	t.Helper()
-	svc, err := service.New(service.Config{Jobs: 1, CorpusJobs: -1, Landmarks: 50, DriftPos: 0.2, DriftAngle: 0.5})
+	svc, err := service.New(service.Config{Jobs: 1, CorpusJobs: -1, Landmarks: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestStreamWrappers(t *testing.T) {
 	if err != nil || snap.Stream != "z" || snap.Version != 1 {
 		t.Fatalf("StreamAppend defaults: %+v, %v", snap, err)
 	}
-	pinned(t, c, "z", []string{"seed=7", "procs=128", "sched=easy", "alloc=unlimited", "drift-pos=0.2", "drift-angle=0.5", "landmarks=50"})
+	pinned(t, c, "z", []string{"seed=7", "procs=128", "sched=easy", "alloc=unlimited", "drift-pos=0.25", "drift-angle=0.35", "landmarks=50"})
 
 	full := coplotclient.StreamOptions{
 		Obs: "a", Seed: 5, Machine: coplotclient.MachineOptions{Procs: 64, Sched: "nqs", Alloc: "pow2"},

@@ -228,8 +228,8 @@ type StreamOptions struct {
 	Obs        string `query:"obs" default:"log" doc:"observation the chunk folds into"`
 	Seed       uint64 `query:"seed" default:"7" doc:"embedding solver seed (pinned at stream creation)"`
 	Machine    MachineOptions
-	DriftPos   float64 `query:"drift-pos" default:"server -drift-pos" doc:"positional drift threshold, a fraction of the map's RMS radius (negative disables position drift)"`
-	DriftAngle float64 `query:"drift-angle" default:"server -drift-angle" doc:"arrow drift threshold in radians (negative disables arrow drift)"`
+	DriftPos   float64 `query:"drift-pos" default:"0.25" doc:"positional drift threshold, a fraction of the map's RMS radius (negative disables position drift)"`
+	DriftAngle float64 `query:"drift-angle" default:"0.35" doc:"arrow drift threshold in radians (negative disables arrow drift)"`
 	Landmarks  int     `query:"landmarks" default:"server -landmarks" doc:"landmark-MDS threshold"`
 	// Explicit names options sent even at their zero value.
 	Explicit []string
