@@ -115,7 +115,7 @@ func realMain() int {
 	var cache store.Backend
 	var reportKey string
 	if *cacheDir != "" && *svgPath == "" && *shepardPath == "" {
-		cache, err = store.Open(*cacheDir, nil)
+		cache, err = store.Open(*cacheDir, nil, 0)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "coplot:", err)
 			return 1

@@ -167,7 +167,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	opts.Inject, opts.Sink = sched, obs.Multi(sinks...)
 	if *cacheDir != "" {
-		backend, err := store.Open(*cacheDir, experiments.OutputCodec{})
+		backend, err := store.Open(*cacheDir, experiments.OutputCodec{}, 0)
 		if err != nil {
 			return err
 		}

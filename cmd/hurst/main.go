@@ -96,7 +96,7 @@ func realMain() int {
 	}
 	var cache store.Backend
 	if *cacheDir != "" {
-		cache, err = store.Open(*cacheDir, nil)
+		cache, err = store.Open(*cacheDir, nil, 0)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hurst:", err)
 			return 1

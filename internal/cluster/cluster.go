@@ -17,12 +17,12 @@
 // itself, byte-identical to what the peer would have served. Peers are
 // an optimization tier, not a dependency.
 //
-// Peer implements store.Backend (plus Limiter and StatsProvider), so
-// the engine's single-flight store and the serving layer use it with
-// no semantic changes: to them it is just a backend whose Get is
-// sometimes answered over the network. Per-peer hit/miss/fill/error
-// counters surface through Stats as "peer:<url>" tiers alongside the
-// local tiers.
+// Peer is a store.Backend like the tiers it wraps, so the engine's
+// single-flight store and the serving layer use it with no semantic
+// changes: to them it is just a backend whose Get is sometimes
+// answered over the network. Keys and Bytes report the local backend;
+// Stats lists the local tiers followed by one "peer:<url>" tier per
+// remote replica with its hit/miss/fill/error counters.
 package cluster
 
 import (
@@ -216,45 +216,26 @@ func (p *Peer) Put(key string, val any, size int64) []string {
 }
 
 // Delete implements store.Backend, removing the artifact from the
-// local backend only. Deletions do not propagate: the engine deletes
-// only failed computations, which were never back-filled.
+// local backend only. Deletions do not propagate through the Peer:
+// its only caller is corpus.Delete, which the serving layer runs on
+// every replica by broadcasting the corpus DELETE itself.
 func (p *Peer) Delete(key string) { p.local.Delete(key) }
 
-// Keys implements store.Lister when the local backend does, reporting
-// the locally resident keys only — the ring is never enumerated.
-// Layers that need a cluster-wide view (the corpus index) merge each
-// replica's local listing themselves.
-func (p *Peer) Keys() []string {
-	if l, ok := p.local.(store.Lister); ok {
-		return l.Keys()
-	}
-	return nil
-}
-
-// Len implements store.Backend, reporting the local backend's count.
-func (p *Peer) Len() int { return p.local.Len() }
+// Keys implements store.Backend, reporting the locally resident keys
+// only — the ring is never enumerated. Layers that need a cluster-wide
+// view (the corpus index) merge each replica's local listing
+// themselves.
+func (p *Peer) Keys() []string { return p.local.Keys() }
 
 // Bytes implements store.Backend, reporting the local backend's total.
 func (p *Peer) Bytes() int64 { return p.local.Bytes() }
 
-// SetLimit implements store.Limiter by delegating to the local backend
-// when it is a Limiter, and is a no-op otherwise.
-func (p *Peer) SetLimit(n int64) {
-	if l, ok := p.local.(store.Limiter); ok {
-		l.SetLimit(n)
-	}
-}
-
-// Stats implements store.StatsProvider: the local backend's tiers
-// first (when it counts them), then one "peer:<url>" entry per remote
-// replica in sorted URL order — Hits are fetches the peer answered,
-// Misses its 404s, Fills back-fills it accepted, Errors failed
-// attempts against it.
+// Stats implements store.Backend: the local backend's tiers first,
+// then one "peer:<url>" entry per remote replica in sorted URL order —
+// Hits are fetches the peer answered, Misses its 404s, Fills
+// back-fills it accepted, Errors failed attempts against it.
 func (p *Peer) Stats() []store.TierStats {
-	var out []store.TierStats
-	if sp, ok := p.local.(store.StatsProvider); ok {
-		out = append(out, sp.Stats()...)
-	}
+	out := p.local.Stats()
 	for _, u := range p.order {
 		st := p.stats[u]
 		out = append(out, store.TierStats{

@@ -10,22 +10,13 @@ import (
 	"coplot/internal/store"
 )
 
-// ArtifactStore is the narrow slice of store.Backend the Handler
-// needs; the Peer's local backend satisfies it.
-type ArtifactStore interface {
-	// Get returns the artifact under key, if resident.
-	Get(key string) (any, bool)
-	// Put inserts the artifact with its declared size.
-	Put(key string, val any, size int64) []string
-}
-
 // Handler serves the replica-to-replica artifact exchange over a local
 // backend. It deliberately operates on the LOCAL backend, not the Peer
 // tier above it: a peer asking this replica for an artifact must see
 // only what is resident here, never trigger a recursive fetch back
 // into the ring.
 type Handler struct {
-	local    ArtifactStore
+	local    store.Backend
 	codec    store.Codec
 	maxBytes int64
 }
@@ -35,7 +26,7 @@ type Handler struct {
 // DefaultMaxFetchBytes). Mount it on a Go 1.22 ServeMux at
 // "GET /internal/v1/artifact/{key}" and "PUT /internal/v1/artifact/{key}"
 // so the {key} path value resolves.
-func NewHandler(local ArtifactStore, c store.Codec, maxBytes int64) *Handler {
+func NewHandler(local store.Backend, c store.Codec, maxBytes int64) *Handler {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxFetchBytes
 	}

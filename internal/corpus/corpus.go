@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,18 +138,16 @@ type Corpus struct {
 // files). ring may equal local on a single replica.
 func New(local, ring store.Backend) *Corpus {
 	c := &Corpus{local: local, ring: ring, entries: map[string]*Entry{}}
-	if lister, ok := local.(store.Lister); ok {
-		for _, key := range lister.Keys() {
-			if len(key) < len("corpus-") || key[:len("corpus-")] != "corpus-" {
-				continue
-			}
-			v, ok := local.Get(key)
-			if !ok {
-				continue
-			}
-			if e, ok := v.(*Entry); ok && e.ID == key {
-				c.entries[key] = e
-			}
+	for _, key := range local.Keys() {
+		if !strings.HasPrefix(key, "corpus-") {
+			continue
+		}
+		v, ok := local.Get(key)
+		if !ok {
+			continue
+		}
+		if e, ok := v.(*Entry); ok && e.ID == key {
+			c.entries[key] = e
 		}
 	}
 	return c

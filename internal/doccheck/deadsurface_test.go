@@ -34,6 +34,26 @@ var keptUnreferenced = map[string]string{
 	"coplot/internal/swf.Merge":            "splices logs for the homogeneity audit's regime-change test",
 }
 
+// keptUnselected lists the exported methods under internal/ that no
+// non-test file selects by name but that stay on purpose, each with the
+// reason. Keys are "importpath.Type.Method".
+var keptUnselected = map[string]string{
+	"coplot/internal/faultinject.Schedule.Count": "the engine and fault-injection tests assert how often a schedule fired",
+	"coplot/internal/mat.Matrix.MulVec":          "the Solve and EigenSym tests check A·x = b and A·v = λv with it",
+	"coplot/internal/obs.Manifest.Stable":        "the manifest-determinism tests' normalizer: it strips the wall-clock fields",
+	"coplot/internal/swf.Log.ShiftTime":          "splices logs end to end for the homogeneity audit's regime-change test",
+}
+
+// interfaceMethods are the method names declared under internal/ that
+// the standard library calls through its own interfaces (error, fmt,
+// errors, sort, container/heap, io, net/http), so a method of that
+// name is live without a selector.
+var interfaceMethods = map[string]bool{
+	"Error": true, "String": true, "Unwrap": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"Write": true, "ServeHTTP": true,
+}
+
 // goFile is one parsed non-test Go file of the tree.
 type goFile struct {
 	pkg  string // import path of the file's package
@@ -119,12 +139,10 @@ func references(files []goFile) map[string]bool {
 	return refs
 }
 
-// TestNoDeadExportedFuncs fails on any exported package-level function
-// under internal/ that no non-test file of the repository (the module
-// and bench/coplotbench, which imports it) references, unless
-// keptUnreferenced names it. A function only its own tests call is
-// surface to maintain with no user; delete it with its tests.
-func TestNoDeadExportedFuncs(t *testing.T) {
+// moduleFiles parses the repository's non-test files and returns them
+// with the module path.
+func moduleFiles(t *testing.T) ([]goFile, string) {
+	t.Helper()
 	root := filepath.Join("..", "..")
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -139,7 +157,16 @@ func TestNoDeadExportedFuncs(t *testing.T) {
 	if module == "" {
 		t.Fatal("go.mod names no module")
 	}
-	files := parseTree(t, root, module)
+	return parseTree(t, root, module), module
+}
+
+// TestNoDeadExportedFuncs fails on any exported package-level function
+// under internal/ that no non-test file of the repository (the module
+// and bench/coplotbench, which imports it) references, unless
+// keptUnreferenced names it. A function only its own tests call is
+// surface to maintain with no user; delete it with its tests.
+func TestNoDeadExportedFuncs(t *testing.T) {
+	files, module := moduleFiles(t)
 	refs := references(files)
 
 	var dead []string
@@ -176,6 +203,84 @@ func TestNoDeadExportedFuncs(t *testing.T) {
 			t.Errorf("%s is on the keep list but is no exported func under internal/; drop the entry", id)
 		case refs[id]:
 			t.Errorf("%s is on the keep list but a non-test file references it; drop the entry", id)
+		}
+	}
+}
+
+// receiverType names a method's receiver type, without pointer or type
+// parameters.
+func receiverType(fd *ast.FuncDecl) string {
+	x := fd.Recv.List[0].Type
+	if star, ok := x.(*ast.StarExpr); ok {
+		x = star.X
+	}
+	switch r := x.(type) {
+	case *ast.IndexExpr:
+		x = r.X
+	case *ast.IndexListExpr:
+		x = r.X
+	}
+	if id, ok := x.(*ast.Ident); ok {
+		return id.Name
+	}
+	return "?"
+}
+
+// TestNoDeadExportedMethods fails on any exported method under
+// internal/ whose name no non-test file of the repository (the module
+// and bench/coplotbench) selects — x.Name, on any x — unless the
+// standard library calls it through an interface (interfaceMethods) or
+// keptUnselected names it. The check is by name, so it misses a dead
+// method that shares its name with a live one; what it finds is surely
+// dead.
+func TestNoDeadExportedMethods(t *testing.T) {
+	files, module := moduleFiles(t)
+	selected := map[string]bool{}
+	for _, gf := range files {
+		ast.Inspect(gf.file, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				selected[sel.Sel.Name] = true
+			}
+			return true
+		})
+	}
+
+	var dead []string
+	declared := 0
+	kept := map[string]bool{}
+	for _, gf := range files {
+		if !strings.HasPrefix(gf.pkg, module+"/internal/") {
+			continue
+		}
+		for _, d := range gf.file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || !fd.Name.IsExported() {
+				continue
+			}
+			declared++
+			name := fd.Name.Name
+			id := gf.pkg + "." + receiverType(fd) + "." + name
+			_, keep := keptUnselected[id]
+			kept[id] = keep
+			if !selected[name] && !interfaceMethods[name] && !keep {
+				dead = append(dead, id)
+			}
+		}
+	}
+	if declared < 100 {
+		t.Fatalf("only %d exported methods found under internal/; wrong directory?", declared)
+	}
+	sort.Strings(dead)
+	for _, id := range dead {
+		t.Errorf("%s: exported, but no non-test file selects a method of that name", id)
+	}
+	for id := range keptUnselected {
+		name := id[strings.LastIndex(id, ".")+1:]
+		switch {
+		case !kept[id]:
+			t.Errorf("%s is on the keep list but is no exported method under internal/; drop the entry", id)
+		case selected[name]:
+			t.Errorf("%s is on the keep list but a non-test file selects %s; drop the entry", id, name)
 		}
 	}
 }

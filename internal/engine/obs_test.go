@@ -54,9 +54,8 @@ func obsRegistry(t *testing.T) *Registry[*Store] {
 func TestRunEmitsLifecycleEvents(t *testing.T) {
 	rec := &recorder{}
 	reg := obsRegistry(t)
-	store := NewStore()
-	store.Observe(rec)
-	_, err := Run(context.Background(), reg, []string{"top"}, store, Options{Jobs: 2, Sink: rec})
+	st, _ := memStore(0, rec)
+	_, err := Run(context.Background(), reg, []string{"top"}, st, Options{Jobs: 2, Sink: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +140,8 @@ func TestManifestDeterministicAcrossSerialRuns(t *testing.T) {
 	manifest := func() string {
 		m := obs.NewMetrics()
 		reg := obsRegistry(t)
-		store := NewStore()
-		store.Observe(m)
-		if _, err := Run(context.Background(), reg, []string{"top"}, store, Options{Jobs: 1, Sink: m}); err != nil {
+		st, _ := memStore(0, m)
+		if _, err := Run(context.Background(), reg, []string{"top"}, st, Options{Jobs: 1, Sink: m}); err != nil {
 			t.Fatal(err)
 		}
 		data, err := json.MarshalIndent(m.Manifest(obs.RunInfo{Tool: "test", Seed: 1, Jobs: 1}).Stable(), "", " ")

@@ -216,7 +216,8 @@ func TestRunEnvShared(t *testing.T) {
 			return artifact(ctx, e)
 		})
 	}
-	res, err := Run(context.Background(), r, r.Names(), env{NewStore()}, Options{Jobs: 4})
+	st, _ := memStore(0, nil)
+	res, err := Run(context.Background(), r, r.Names(), env{st}, Options{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

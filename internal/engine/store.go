@@ -23,11 +23,12 @@ import (
 // The Store itself owns only the computation semantics: single-flight
 // deduplication, eviction of failed computations so retries recompute,
 // and the obs event stream. Where completed artifacts live — and for
-// how long — is delegated to a store.Backend: the default is an
-// unbounded in-memory LRU, SetByteLimit caps it, and SetBackend swaps
-// in a durable or tiered backend so artifacts survive process
-// restarts. An artifact the backend evicts is recomputed on its next
-// lookup; in-flight computations are never evicted.
+// how long — belongs to the store.Backend it is built over: an
+// in-memory LRU, a memory-over-disk tier that survives restarts, or a
+// peer-aware cluster tier. Its owner keeps the backend for residency
+// and statistics; the Store has no setter or getter for it. An
+// artifact the backend evicts is recomputed on its next lookup;
+// in-flight computations are never evicted.
 //
 // Cached values are shared across goroutines; compute functions must
 // return values that downstream readers treat as immutable.
@@ -46,75 +47,11 @@ type flight struct {
 	err  error
 }
 
-// NewStore returns an empty artifact store over an unbounded in-memory
-// backend.
-func NewStore() *Store {
-	return &Store{inflight: map[string]*flight{}, backend: store.NewMemory(0)}
-}
-
-// ensureLocked lazily initializes the zero-value Store. Callers hold
-// s.mu.
-func (s *Store) ensureLocked() {
-	if s.inflight == nil {
-		s.inflight = map[string]*flight{}
-	}
-	if s.backend == nil {
-		s.backend = store.NewMemory(0)
-	}
-}
-
-// SetBackend replaces the storage tier holding completed artifacts.
-// Call it before the store sees concurrent traffic — typically right
-// after NewStore; artifacts already resident in the old backend are
-// not migrated.
-func (s *Store) SetBackend(b store.Backend) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ensureLocked()
-	if b != nil {
-		s.backend = b
-	}
-}
-
-// Backend returns the storage tier holding completed artifacts, so
-// owners can inspect per-tier stats or share it across stores.
-func (s *Store) Backend() store.Backend {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ensureLocked()
-	return s.backend
-}
-
-// Observe routes the store's cache events (hit, miss, single-flight
-// wait, eviction) to sink. Call it before the store sees concurrent
-// traffic — typically right after NewStore; the setting is not
-// synchronized against in-flight Do calls.
-func (s *Store) Observe(sink obs.Sink) {
-	s.sink = sink
-}
-
-// SetByteLimit caps the total reported size of resident artifacts;
-// exceeding it evicts least-recently-used completed entries until the
-// total fits again (an evicted key recomputes on its next lookup).
-// Zero (the default) disables eviction. The cap applies when the
-// backend supports one (the in-memory and tiered backends do); it is a
-// no-op on backends without a limit, like the bare disk tier.
-func (s *Store) SetByteLimit(n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ensureLocked()
-	if l, ok := s.backend.(store.Limiter); ok {
-		l.SetLimit(n)
-	}
-}
-
-// Bytes reports the total size of resident artifacts, as declared by
-// their DoSized compute functions (plain Do artifacts count as zero).
-func (s *Store) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ensureLocked()
-	return s.backend.Bytes()
+// NewStore returns an empty artifact store that keeps completed
+// artifacts in backend and reports its cache events (hit, miss,
+// single-flight wait, eviction) to sink (nil = none).
+func NewStore(backend store.Backend, sink obs.Sink) *Store {
+	return &Store{inflight: map[string]*flight{}, backend: backend, sink: sink}
 }
 
 // Do returns the artifact under key, computing it with compute on the
@@ -133,7 +70,7 @@ func (s *Store) Do(key string, compute func() (any, error)) (any, error) {
 
 // DoSized is Do for size-accounted artifacts: compute additionally
 // reports the artifact's resident size in bytes, which counts against
-// the SetByteLimit cap. Touching a cached entry (hit or wait) marks it
+// the backend's byte cap. Touching a cached entry (hit or wait) marks it
 // most recently used.
 func (s *Store) DoSized(key string, compute func() (any, int64, error)) (any, error) {
 	// Backend Get/Put happen outside s.mu: a backend may do real I/O
@@ -142,13 +79,9 @@ func (s *Store) DoSized(key string, compute func() (any, int64, error)) (any, er
 	// the process behind one slow tier. The loop re-checks the inflight
 	// table after each unlocked probe, so single-flight still holds:
 	// a key computes at most once at a time.
-	var (
-		f       *flight
-		backend store.Backend
-	)
+	var f *flight
 	for {
 		s.mu.Lock()
-		s.ensureLocked()
 		if g, ok := s.inflight[key]; ok {
 			// Single flight: block on the in-progress compute.
 			s.mu.Unlock()
@@ -157,9 +90,8 @@ func (s *Store) DoSized(key string, compute func() (any, int64, error)) (any, er
 			obs.Emit(s.sink, obs.Event{Kind: obs.KindStoreWait, Name: key, Elapsed: time.Since(start)})
 			return g.val, g.err
 		}
-		backend = s.backend
 		s.mu.Unlock()
-		if v, ok := backend.Get(key); ok {
+		if v, ok := s.backend.Get(key); ok {
 			obs.Emit(s.sink, obs.Event{Kind: obs.KindStoreHit, Name: key})
 			return v, nil
 		}
@@ -185,7 +117,7 @@ func (s *Store) DoSized(key string, compute func() (any, int64, error)) (any, er
 		// lookup sequenced after this Do observes it resident. A failed
 		// compute is simply dropped: the error stays visible to everyone
 		// already blocked on f.done, while later lookups retry.
-		evicted = backend.Put(key, f.val, size)
+		evicted = s.backend.Put(key, f.val, size)
 	}
 	s.mu.Lock()
 	if s.inflight[key] == f {
@@ -198,14 +130,6 @@ func (s *Store) DoSized(key string, compute func() (any, int64, error)) (any, er
 	}
 	obs.Emit(s.sink, obs.Event{Kind: obs.KindStoreMiss, Name: key, Elapsed: time.Since(start)})
 	return f.val, f.err
-}
-
-// Len reports how many artifacts are resident or in flight.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ensureLocked()
-	return len(s.inflight) + s.backend.Len()
 }
 
 // Memo is the typed access path to a Store: it computes (once) and

@@ -10,10 +10,18 @@ import (
 	"time"
 
 	"coplot/internal/obs"
+	"coplot/internal/store"
 )
 
+// memStore is a Store over a fresh memory tier capped at limit bytes
+// (<=0 = unbounded), returned with the tier for residency checks.
+func memStore(limit int64, sink obs.Sink) (*Store, *store.Memory) {
+	m := store.NewMemory(limit)
+	return NewStore(m, sink), m
+}
+
 func TestStoreComputesOnce(t *testing.T) {
-	s := NewStore()
+	s, mem := memStore(0, nil)
 	var calls atomic.Int64
 	compute := func() (int, error) {
 		calls.Add(1)
@@ -40,8 +48,8 @@ func TestStoreComputesOnce(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("compute ran %d times, want 1", n)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
+	if mem.Len() != 1 {
+		t.Fatalf("Len = %d", mem.Len())
 	}
 }
 
@@ -49,7 +57,7 @@ func TestStoreEvictsErrors(t *testing.T) {
 	// A failed compute must not poison the key: the next lookup retries
 	// (this is what lets a retried task recover from a transient
 	// upstream failure), and a success is then cached normally.
-	s := NewStore()
+	s, _ := memStore(0, nil)
 	sentinel := errors.New("boom")
 	calls := 0
 	_, err := Memo(s, "k", func() (int, error) { calls++; return 0, sentinel })
@@ -70,7 +78,7 @@ func TestStoreEvictsErrors(t *testing.T) {
 }
 
 func TestStoreDistinctKeys(t *testing.T) {
-	s := NewStore()
+	s, _ := memStore(0, nil)
 	a, _ := Memo(s, "a", func() (int, error) { return 1, nil })
 	b, _ := Memo(s, "b", func() (int, error) { return 2, nil })
 	if a != 1 || b != 2 {
@@ -79,21 +87,13 @@ func TestStoreDistinctKeys(t *testing.T) {
 }
 
 func TestMemoTypeMismatch(t *testing.T) {
-	s := NewStore()
+	s, _ := memStore(0, nil)
 	if _, err := Memo(s, "k", func() (int, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	_, err := Memo(s, "k", func() (string, error) { return "x", nil })
 	if err == nil {
 		t.Fatal("type mismatch accepted")
-	}
-}
-
-func TestStoreZeroValueUsable(t *testing.T) {
-	var s Store
-	v, err := Memo(&s, "k", func() (int, error) { return 9, nil })
-	if err != nil || v != 9 {
-		t.Fatalf("zero-value store: %d, %v", v, err)
 	}
 }
 
@@ -123,10 +123,8 @@ func (c *countEvents) count(k obs.Kind) int {
 }
 
 func TestStoreByteLimitEvictsLRU(t *testing.T) {
-	s := NewStore()
 	sink := &countEvents{}
-	s.Observe(sink)
-	s.SetByteLimit(100)
+	s, mem := memStore(100, sink)
 	put := func(key string) {
 		t.Helper()
 		if _, err := s.DoSized(key, func() (any, int64, error) { return key, 40, nil }); err != nil {
@@ -135,12 +133,12 @@ func TestStoreByteLimitEvictsLRU(t *testing.T) {
 	}
 	put("a")
 	put("b")
-	if got := s.Bytes(); got != 80 {
+	if got := mem.Bytes(); got != 80 {
 		t.Fatalf("bytes = %d, want 80", got)
 	}
 	put("a") // hit: refreshes a's recency, so b is now the LRU victim
 	put("c") // 120 bytes > 100: evicts b
-	if got := s.Bytes(); got != 80 {
+	if got := mem.Bytes(); got != 80 {
 		t.Fatalf("bytes after eviction = %d, want 80", got)
 	}
 	if sink.count(obs.KindStoreEvict) != 1 || sink.names[0] != "b" {
@@ -165,12 +163,11 @@ func TestStoreByteLimitEvictsLRU(t *testing.T) {
 }
 
 func TestStoreOversizedArtifactEvictsItself(t *testing.T) {
-	s := NewStore()
-	s.SetByteLimit(10)
+	s, mem := memStore(10, nil)
 	if _, err := s.DoSized("huge", func() (any, int64, error) { return "x", 1000, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Bytes(); got != 0 {
+	if got := mem.Bytes(); got != 0 {
 		t.Fatalf("bytes = %d, want 0 (oversized artifact must not stay resident)", got)
 	}
 	again := false
@@ -183,21 +180,19 @@ func TestStoreOversizedArtifactEvictsItself(t *testing.T) {
 }
 
 func TestStoreUnsizedArtifactsExemptFromLimit(t *testing.T) {
-	s := NewStore()
-	s.SetByteLimit(1)
+	s, mem := memStore(1, nil)
 	for _, k := range []string{"a", "b", "c"} {
 		if _, err := Memo(s, k, func() (int, error) { return 1, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.Len() != 3 {
-		t.Fatalf("len = %d, want 3 (zero-sized artifacts never evict)", s.Len())
+	if mem.Len() != 3 {
+		t.Fatalf("len = %d, want 3 (zero-sized artifacts never evict)", mem.Len())
 	}
 }
 
 func TestStoreEvictionUnderConcurrency(t *testing.T) {
-	s := NewStore()
-	s.SetByteLimit(64)
+	s, mem := memStore(64, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -218,7 +213,7 @@ func TestStoreEvictionUnderConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := s.Bytes(); got > 64 {
+	if got := mem.Bytes(); got > 64 {
 		t.Fatalf("bytes = %d, want <= 64", got)
 	}
 }
@@ -265,8 +260,7 @@ func TestEngineDoAttemptTimeout(t *testing.T) {
 // value — never nil — and the next lookup must recompute rather than
 // hit. Run under -race.
 func TestStoreWaitersSurviveEvictionMidCompute(t *testing.T) {
-	s := NewStore()
-	s.SetByteLimit(16) // each 32-byte artifact self-evicts on insert
+	s, _ := memStore(16, nil) // each 32-byte artifact self-evicts on insert
 
 	// Background eviction pressure on unrelated keys.
 	stop := make(chan struct{})

@@ -4,7 +4,9 @@ import (
 	"context"
 
 	"coplot/internal/engine"
+	"coplot/internal/obs"
 	"coplot/internal/sites"
+	"coplot/internal/store"
 	"coplot/internal/swf"
 )
 
@@ -27,9 +29,13 @@ type Env struct {
 	Store *engine.Store
 }
 
-// NewEnv builds the environment of one run.
-func NewEnv(cfg Config) *Env {
-	return &Env{Cfg: cfg.WithDefaults(), Store: engine.NewStore()}
+// NewEnv builds the environment of one run, its artifacts held in
+// memory with no event sink.
+func NewEnv(cfg Config) *Env { return newEnv(cfg, nil) }
+
+// newEnv is NewEnv with the store's cache events routed to sink.
+func newEnv(cfg Config, sink obs.Sink) *Env {
+	return &Env{Cfg: cfg.WithDefaults(), Store: engine.NewStore(store.NewMemory(0), sink)}
 }
 
 // siteLogs returns the ten generated production-site logs of Table 1,

@@ -234,7 +234,7 @@ func RunAll(ctx context.Context, cfg Config, opts RunOptions) ([]*Output, error)
 }
 
 func runNames(ctx context.Context, names []string, cfg Config, opts RunOptions) ([]*Output, error) {
-	env := NewEnv(cfg)
+	env := newEnv(cfg, opts.Sink)
 	if env.Cfg.Par == nil {
 		// One kernel worker budget per run, sized like the DAG pool:
 		// every experiment's SSA multi-starts, estimator fan-outs and
@@ -242,7 +242,6 @@ func runNames(ctx context.Context, names []string, cfg Config, opts RunOptions) 
 		// compute parallelism instead of multiplying per layer.
 		env.Cfg.Par = par.NewBudget(opts.Jobs)
 	}
-	env.Store.Observe(opts.Sink)
 	reg := registry
 	if opts.Inject.Enabled() {
 		reg = faultinject.Wrap(opts.Inject, registry)

@@ -38,21 +38,6 @@ func TestFromRowsRaggedPanics(t *testing.T) {
 	FromRows([][]float64{{1, 2}, {3}})
 }
 
-func TestTranspose(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.T()
-	if tr.Rows != 3 || tr.Cols != 2 {
-		t.Fatalf("transpose dims = %dx%d", tr.Rows, tr.Cols)
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if m.At(i, j) != tr.At(j, i) {
-				t.Fatalf("transpose mismatch at %d,%d", i, j)
-			}
-		}
-	}
-}
-
 func TestMulVec(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	got := a.MulVec([]float64{1, 1, 1})

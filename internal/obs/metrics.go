@@ -9,6 +9,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"coplot/internal/store"
 )
 
 // ManifestSchema is the current manifest format version; readers reject
@@ -44,10 +46,12 @@ type Manifest struct {
 	// Store aggregates the artifact-store counters.
 	Store StoreStats `json:"store"`
 	// Storage lists the store backend's per-tier counters (memory,
-	// disk), top tier first. Unlike Store, which is folded from the
-	// event stream, Storage is stamped by the manifest's producer from
-	// the backend itself; batch CLIs without a tiered backend omit it.
-	Storage []StorageTier `json:"storage,omitempty"`
+	// disk, peer:<url>), top tier first, as the backend's Stats
+	// reports them. Unlike Store, which is folded from the event
+	// stream, Storage is stamped by the manifest's producer from the
+	// backend itself; batch CLIs omit it. All its counters are traffic
+	// (timing fields): Stable() drops the whole list.
+	Storage []store.TierStats `json:"storage,omitempty"`
 	// Pool aggregates the worker-pool occupancy samples.
 	Pool PoolStats `json:"pool"`
 	// Stream aggregates the live-stream counters (stream.update /
@@ -88,31 +92,6 @@ type StreamStats struct {
 	Updates uint64 `json:"updates"`
 	// Drifts counts drift threshold crossings across all streams.
 	Drifts uint64 `json:"drifts,omitempty"`
-}
-
-// StorageTier is one storage backend tier's traffic and residency
-// counters, mirroring the store package's per-tier stats so manifests
-// stay decodable without importing it. All fields are traffic-dependent
-// (timing fields): Stable() drops the whole list.
-type StorageTier struct {
-	// Tier names the layer: "memory" or "disk".
-	Tier string `json:"tier"`
-	// Hits counts lookups answered by this tier.
-	Hits uint64 `json:"hits"`
-	// Misses counts lookups this tier could not answer.
-	Misses uint64 `json:"misses"`
-	// Evictions counts artifacts this tier dropped.
-	Evictions uint64 `json:"evictions"`
-	// Fills counts artifacts pushed into this tier from outside the
-	// local lookup path (cluster back-fills); zero for plain tiers.
-	Fills uint64 `json:"fills,omitempty"`
-	// Errors counts failed interactions with this tier (peer fetch or
-	// back-fill failures in cluster mode); zero for plain tiers.
-	Errors uint64 `json:"errors,omitempty"`
-	// Len is the tier's resident artifact count.
-	Len int `json:"len"`
-	// Bytes is the tier's resident byte total.
-	Bytes int64 `json:"bytes"`
 }
 
 // TaskRecord is one task's outcome in a Manifest.

@@ -26,10 +26,6 @@ type Profile struct {
 	bound string // actual listen address once the server is up
 }
 
-// ListenAddr reports the address the pprof server actually bound
-// (useful when Addr requested port 0), or "" when no server runs.
-func (p *Profile) ListenAddr() string { return p.bound }
-
 // RegisterFlags wires the standard -cpuprofile/-memprofile/-pprof
 // flags onto fs (pass flag.CommandLine for the global set).
 func (p *Profile) RegisterFlags(fs *flag.FlagSet) {

@@ -55,7 +55,7 @@ func TestProfileServesPprof(t *testing.T) {
 		t.Skipf("cannot listen on loopback here: %v", err)
 	}
 	defer stop()
-	resp, err := http.Get("http://" + p.ListenAddr() + "/debug/pprof/")
+	resp, err := http.Get("http://" + p.bound + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
 	}

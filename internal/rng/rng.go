@@ -157,11 +157,3 @@ func (r *Source) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle randomizes the order of n elements using the provided swap
-// function, following the Fisher–Yates algorithm.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}

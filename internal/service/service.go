@@ -130,11 +130,14 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:     cfg,
 		budget:  par.NewBudget(cfg.Jobs),
-		store:   engine.NewStore(),
 		metrics: obs.NewMetrics(),
 		mux:     http.NewServeMux(),
 	}
-	backend, err := store.Open(cfg.CacheDir, responseCodec{})
+	memLimit := cfg.CacheBytes
+	if memLimit == 0 {
+		memLimit = 256 << 20
+	}
+	backend, err := store.Open(cfg.CacheDir, responseCodec{}, memLimit)
 	if err != nil {
 		return nil, err
 	}
@@ -165,15 +168,8 @@ func New(cfg Config) (*Service, error) {
 		backend = peer
 	}
 	s.backend = backend
-	s.store.SetBackend(backend)
 	s.sink = obs.Multi(s.metrics, cfg.Sink)
-	s.store.Observe(s.sink)
-	switch {
-	case cfg.CacheBytes == 0:
-		s.store.SetByteLimit(256 << 20)
-	case cfg.CacheBytes > 0:
-		s.store.SetByteLimit(cfg.CacheBytes)
-	}
+	s.store = engine.NewStore(backend, s.sink)
 	inflight := cfg.MaxInflight
 	if inflight <= 0 {
 		inflight = 2 * s.budget.Size()
@@ -410,16 +406,17 @@ func (s *Service) endpoint(name string, h handlerFunc) http.Handler {
 func (s *Service) healthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\"status\":\"ok\",\"inflight\":%d,\"capacity\":%d,\"cache_bytes\":%d,\"jobs\":%d,\"peers\":%d}\n",
-		len(s.sem), cap(s.sem), s.store.Bytes(), s.budget.Size(), s.peers)
+		len(s.sem), cap(s.sem), s.backend.Bytes(), s.budget.Size(), s.peers)
 }
 
 // Manifest snapshots the service's aggregate manifest, stamping the
 // cache backend's per-tier storage counters on top of the event-stream
 // aggregate. The /metrics endpoint, the -manifest exit file, and tests
-// all read this one form.
+// all read this one form. Its seed is 0, the value for a tool without a
+// master seed: every analysis takes its seed from its request.
 func (s *Service) Manifest() *obs.Manifest {
 	m := s.metrics.Manifest(obs.RunInfo{
-		Tool: "coplotd", Seed: retrySeed, Jobs: s.cfg.Jobs, Timeout: s.cfg.RequestTimeout,
+		Tool: "coplotd", Jobs: s.cfg.Jobs, Timeout: s.cfg.RequestTimeout,
 	})
 	if s.corpus != nil {
 		cs := s.corpus.Stats()
@@ -429,15 +426,7 @@ func (s *Service) Manifest() *obs.Manifest {
 			MatchMS: float64(cs.MatchNS) / float64(time.Millisecond),
 		}
 	}
-	if sp, ok := s.backend.(store.StatsProvider); ok {
-		for _, ts := range sp.Stats() {
-			m.Storage = append(m.Storage, obs.StorageTier{
-				Tier: ts.Tier, Hits: ts.Hits, Misses: ts.Misses,
-				Evictions: ts.Evictions, Fills: ts.Fills, Errors: ts.Errors,
-				Len: ts.Len, Bytes: ts.Bytes,
-			})
-		}
-	}
+	m.Storage = s.backend.Stats()
 	return m
 }
 

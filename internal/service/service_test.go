@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -514,6 +515,97 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	if m.Tool != "coplotd" || m.Store.Lookups != 1 || len(m.Tasks) != 1 {
 		t.Fatalf("metrics manifest = tool=%q lookups=%d tasks=%d", m.Tool, m.Store.Lookups, len(m.Tasks))
+	}
+}
+
+// getJSON fetches path from ts and decodes its JSON body into v.
+func getJSON(t *testing.T, ts *httptest.Server, path string, v any) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sortedKeys lists an object's field names in order.
+func sortedKeys(obj map[string]json.RawMessage) string {
+	var keys []string
+	for k := range obj {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, ",")
+}
+
+// TestManifestSeedIsZero pins coplotd's manifest seed to 0, the value
+// for a tool without a master seed: analyses take their seed per
+// request, and the retry-jitter seed is no setting of the run.
+func TestManifestSeedIsZero(t *testing.T) {
+	svc := mustNew(t, Config{Jobs: 1, CorpusJobs: -1})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	var raw map[string]json.RawMessage
+	getJSON(t, ts, "/metrics", &raw)
+	if got := string(raw["seed"]); got != "0" {
+		t.Fatalf("/metrics seed = %s, want 0", got)
+	}
+	if got := svc.Manifest().Seed; got != 0 {
+		t.Fatalf("Manifest().Seed = %d, want 0", got)
+	}
+}
+
+// TestMetricsAndHealthzJSONKeys pins the raw JSON field names that
+// clients outside this module decode (the benchmark reads the storage
+// tiers itself): each /metrics storage tier of a memory-over-disk cache
+// carries exactly tier, hits, misses, evictions, len and bytes — fills
+// and errors are left out at zero — and /healthz carries its six
+// fields, cache_bytes being the disk tier's resident bytes.
+func TestMetricsAndHealthzJSONKeys(t *testing.T) {
+	svc := mustNew(t, Config{Jobs: 1, CacheDir: t.TempDir(), CorpusJobs: -1})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	for i := 0; i < 2; i++ {
+		if resp, body := post(t, ts, "/v1/generate?model=lublin&n=50", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+	}
+
+	var metrics struct {
+		Storage []map[string]json.RawMessage `json:"storage"`
+	}
+	getJSON(t, ts, "/metrics", &metrics)
+	if len(metrics.Storage) != 2 {
+		t.Fatalf("storage lists %d tiers, want 2", len(metrics.Storage))
+	}
+	var diskBytes string
+	for i, want := range []string{`"memory"`, `"disk"`} {
+		tier := metrics.Storage[i]
+		if got := string(tier["tier"]); got != want {
+			t.Errorf("storage[%d].tier = %s, want %s", i, got, want)
+		}
+		if got := sortedKeys(tier); got != "bytes,evictions,hits,len,misses,tier" {
+			t.Errorf("storage[%d] keys = %s, want bytes,evictions,hits,len,misses,tier", i, got)
+		}
+		diskBytes = string(tier["bytes"])
+	}
+	if got := string(metrics.Storage[0]["hits"]); got != "1" {
+		t.Errorf("memory hits = %s, want 1", got)
+	}
+
+	var health map[string]json.RawMessage
+	getJSON(t, ts, "/healthz", &health)
+	if got := sortedKeys(health); got != "cache_bytes,capacity,inflight,jobs,peers,status" {
+		t.Errorf("healthz keys = %s, want cache_bytes,capacity,inflight,jobs,peers,status", got)
+	}
+	if got := string(health["cache_bytes"]); got != diskBytes || got == "0" {
+		t.Errorf("healthz cache_bytes = %s, want the disk tier's %s", got, diskBytes)
 	}
 }
 

@@ -65,9 +65,6 @@ func NewDisk(dir string, codec Codec) (*Disk, error) {
 	return d, nil
 }
 
-// Dir reports the backend's cache directory.
-func (d *Disk) Dir() string { return d.dir }
-
 // scrub validates every artifact file once at startup, evicting the
 // invalid and indexing the rest; leftover temporary files from an
 // interrupted write are removed too.
@@ -257,7 +254,7 @@ func (d *Disk) remove(key string) {
 // Delete implements Backend.
 func (d *Disk) Delete(key string) { d.remove(key) }
 
-// Len implements Backend.
+// Len reports how many artifacts are resident.
 func (d *Disk) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -271,7 +268,7 @@ func (d *Disk) Bytes() int64 {
 	return d.bytes
 }
 
-// Keys implements Lister: the resident cache keys, sorted.
+// Keys implements Backend: the resident cache keys, sorted.
 func (d *Disk) Keys() []string {
 	d.mu.Lock()
 	out := make([]string, 0, len(d.sizes))
@@ -283,7 +280,7 @@ func (d *Disk) Keys() []string {
 	return out
 }
 
-// Stats implements StatsProvider.
+// Stats implements Backend with the one "disk" tier.
 func (d *Disk) Stats() []TierStats {
 	return []TierStats{{
 		Tier:      "disk",

@@ -9,11 +9,10 @@ import (
 
 // Memory is the in-process storage tier: artifacts held as live Go
 // values on an LRU list, optionally bounded by a byte cap over their
-// declared sizes. It is the extraction of the LRU that previously
-// lived inside internal/engine's Store, behavior-preserving: zero-size
-// artifacts never count against the cap (but are still evictable once
-// the total exceeds it), a Get or re-Put refreshes recency, and an
-// artifact larger than the whole cap evicts itself immediately.
+// declared sizes. Zero-size artifacts never count against the cap (but
+// are still evictable once the total exceeds it), a Get or re-Put
+// refreshes recency, and an artifact larger than the whole cap evicts
+// itself immediately.
 type Memory struct {
 	mu      sync.Mutex
 	entries map[string]*memEntry
@@ -35,14 +34,6 @@ type memEntry struct {
 // (<=0 = unbounded).
 func NewMemory(limit int64) *Memory {
 	return &Memory{entries: map[string]*memEntry{}, lru: list.New(), limit: limit}
-}
-
-// SetLimit implements Limiter. Lowering the cap below the current
-// residency takes effect on the next Put.
-func (m *Memory) SetLimit(n int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.limit = n
 }
 
 // Get implements Backend: a hit marks the artifact most recently used.
@@ -112,7 +103,7 @@ func (m *Memory) Delete(key string) {
 	}
 }
 
-// Len implements Backend.
+// Len reports how many artifacts are resident.
 func (m *Memory) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -126,7 +117,7 @@ func (m *Memory) Bytes() int64 {
 	return m.bytes
 }
 
-// Keys implements Lister: the resident cache keys, sorted.
+// Keys implements Backend: the resident cache keys, sorted.
 func (m *Memory) Keys() []string {
 	m.mu.Lock()
 	out := make([]string, 0, len(m.entries))
@@ -138,7 +129,7 @@ func (m *Memory) Keys() []string {
 	return out
 }
 
-// Stats implements StatsProvider.
+// Stats implements Backend with the one "memory" tier.
 func (m *Memory) Stats() []TierStats {
 	return []TierStats{{
 		Tier:      "memory",

@@ -1,8 +1,10 @@
-// Package store is the pluggable storage subsystem under the engine's
-// memoizing single-flight artifact store: a small Backend interface
-// over completed artifacts, with an in-memory LRU tier, a durable
-// content-addressed disk tier, and a tiered memory-over-disk
-// combination of the two.
+// Package store holds the completed artifacts under the engine's
+// memoizing single-flight store. Every storage tier implements one
+// interface, Backend: an in-memory LRU tier, a durable
+// content-addressed disk tier, a tiered memory-over-disk combination
+// of the two, and (in internal/cluster) a peer-aware tier over any of
+// them. Each tier takes its settings — the memory cap, the directory,
+// the codec — when it is built; none changes afterwards.
 //
 // The split of responsibilities with internal/engine:
 //
@@ -44,30 +46,22 @@ type Backend interface {
 	Put(key string, val any, size int64) (evicted []string)
 	// Delete removes the artifact under key, if resident.
 	Delete(key string)
-	// Len reports how many artifacts are resident.
-	Len() int
+	// Keys returns every resident key, sorted, as a fresh slice. The
+	// corpus recovers its entries after a restart by listing the
+	// "corpus-" keys, without a manifest file of its own.
+	Keys() []string
 	// Bytes reports the total declared size of resident artifacts.
 	Bytes() int64
-}
-
-// Limiter is implemented by backends whose memory residency is bounded
-// by a byte cap (Memory, and Tiered for its memory layer).
-type Limiter interface {
-	// SetLimit caps the resident bytes; exceeding it evicts
-	// least-recently-used artifacts. Zero or negative disables the cap.
-	SetLimit(n int64)
-}
-
-// StatsProvider is implemented by backends that count their traffic;
-// the serving layer surfaces these per-tier counters on /metrics.
-type StatsProvider interface {
-	// Stats returns one entry per storage tier, top tier first.
+	// Stats returns one entry per storage tier, top tier first; the
+	// serving layer surfaces them on /metrics.
 	Stats() []TierStats
 }
 
-// TierStats is one storage tier's traffic and residency counters.
+// TierStats is one storage tier's traffic and residency counters. The
+// run manifest lists them as they are (obs.Manifest.Storage), so the
+// JSON names below are the /metrics "storage" schema.
 type TierStats struct {
-	// Tier names the layer: "memory" or "disk".
+	// Tier names the layer: "memory", "disk" or "peer:<url>".
 	Tier string `json:"tier"`
 	// Hits counts Gets answered by this tier.
 	Hits uint64 `json:"hits"`
@@ -88,15 +82,6 @@ type TierStats struct {
 	Len int `json:"len"`
 	// Bytes is the tier's resident byte total.
 	Bytes int64 `json:"bytes"`
-}
-
-// Lister is implemented by backends that can enumerate their resident
-// keys. Layers that keep a durable secondary index inside the store —
-// the corpus recovering its entries after a restart — use it to find
-// their artifacts by key prefix without a separate manifest file.
-type Lister interface {
-	// Keys returns every resident key, sorted, as a fresh slice.
-	Keys() []string
 }
 
 // Codec translates artifacts to durable bytes and back, so a byte-
@@ -127,17 +112,17 @@ func (RawBytes) Decode(data []byte) (any, error) { return data, nil }
 // Open builds the backend for a -cache-dir flag, so every process —
 // coplotd and the batch CLIs alike — interprets it the same way: an
 // empty dir is a memory cache, any other is a memory tier over a disk
-// tier rooted at dir. The memory layers start unbounded; callers cap
-// them through Limiter. A nil codec defaults to RawBytes.
-func Open(dir string, codec Codec) (Backend, error) {
+// tier rooted at dir. memLimit caps the memory tier's resident bytes
+// (<=0 = unbounded). A nil codec defaults to RawBytes.
+func Open(dir string, codec Codec, memLimit int64) (Backend, error) {
 	if dir == "" {
-		return NewMemory(0), nil
+		return NewMemory(memLimit), nil
 	}
 	disk, err := NewDisk(dir, codec)
 	if err != nil {
 		return nil, err
 	}
-	return NewTiered(NewMemory(0), disk), nil
+	return NewTiered(NewMemory(memLimit), disk), nil
 }
 
 // Key derives a deterministic content-hash cache key: a sha256 over

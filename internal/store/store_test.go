@@ -90,20 +90,6 @@ func TestMemoryRePutRefreshes(t *testing.T) {
 	}
 }
 
-func TestMemoryStats(t *testing.T) {
-	m := NewMemory(0)
-	m.Put("a", 1, 8)
-	m.Get("a")
-	m.Get("missing")
-	st := m.Stats()
-	if len(st) != 1 || st[0].Tier != "memory" {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st[0].Hits != 1 || st[0].Misses != 1 || st[0].Len != 1 || st[0].Bytes != 8 {
-		t.Fatalf("counters = %+v", st[0])
-	}
-}
-
 func TestDiskRoundTripAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	d, err := NewDisk(dir, nil)
@@ -295,16 +281,6 @@ func TestTieredPromoteAndWriteThrough(t *testing.T) {
 	// The promoted copy now serves from memory.
 	if v, ok := tr.mem.Get(key); !ok || !bytes.Equal(v.([]byte), body) {
 		t.Fatalf("promoted copy wrong: %v %v", v, ok)
-	}
-
-	st := tr.Stats()
-	if len(st) != 2 || st[0].Tier != "memory" || st[1].Tier != "disk" {
-		t.Fatalf("stats tiers = %+v", st)
-	}
-
-	tr.Delete(key)
-	if tr.Len() != 0 || tr.mem.Len() != 0 {
-		t.Fatal("delete left residue")
 	}
 }
 

@@ -4,7 +4,7 @@ package store
 // first and fall back to disk, promoting disk hits back into memory;
 // writes go through to both. Memory holds decoded, ready-to-serve
 // values bounded by its LRU byte cap, while disk is the authoritative
-// record that survives restarts — so Len and Bytes report the disk
+// record that survives restarts — so Keys and Bytes report the disk
 // tier, and evicting from memory never loses an artifact.
 type Tiered struct {
 	mem  *Memory
@@ -44,19 +44,13 @@ func (t *Tiered) Delete(key string) {
 	t.disk.Delete(key)
 }
 
-// Len implements Backend, reporting the authoritative disk tier.
-func (t *Tiered) Len() int { return t.disk.Len() }
-
 // Bytes implements Backend, reporting the authoritative disk tier.
 func (t *Tiered) Bytes() int64 { return t.disk.Bytes() }
 
-// SetLimit implements Limiter, capping the memory tier.
-func (t *Tiered) SetLimit(n int64) { t.mem.SetLimit(n) }
-
-// Keys implements Lister, reporting the authoritative disk tier.
+// Keys implements Backend, reporting the authoritative disk tier.
 func (t *Tiered) Keys() []string { return t.disk.Keys() }
 
-// Stats implements StatsProvider: the memory tier first, then disk.
+// Stats implements Backend: the memory tier first, then disk.
 func (t *Tiered) Stats() []TierStats {
 	return append(t.mem.Stats(), t.disk.Stats()...)
 }

@@ -119,27 +119,6 @@ func (l *Log) Duration() float64 {
 	return last - first
 }
 
-// Filter returns a new log holding only jobs for which keep returns true.
-func (l *Log) Filter(keep func(Job) bool) *Log {
-	out := &Log{Header: append([]string(nil), l.Header...)}
-	for _, j := range l.Jobs {
-		if keep(j) {
-			out.Jobs = append(out.Jobs, j)
-		}
-	}
-	return out
-}
-
-// Interactive returns the sub-log of interactive jobs.
-func (l *Log) Interactive() *Log {
-	return l.Filter(func(j Job) bool { return j.Queue == QueueInteractive })
-}
-
-// Batch returns the sub-log of batch jobs.
-func (l *Log) Batch() *Log {
-	return l.Filter(func(j Job) bool { return j.Queue == QueueBatch })
-}
-
 // SplitPeriods slices the log into n consecutive equal-duration windows
 // by submit time, the transformation behind section 6 (four half-year
 // periods of the LANL and SDSC logs).

@@ -163,21 +163,6 @@ func TestDuration(t *testing.T) {
 	}
 }
 
-func TestInteractiveBatchSplit(t *testing.T) {
-	l := sampleLog()
-	inter := l.Interactive()
-	batch := l.Batch()
-	if len(inter.Jobs) != 1 || inter.Jobs[0].ID != 2 {
-		t.Fatalf("interactive = %+v", inter.Jobs)
-	}
-	if len(batch.Jobs) != 2 {
-		t.Fatalf("batch = %d jobs", len(batch.Jobs))
-	}
-	if len(inter.Jobs)+len(batch.Jobs) != len(l.Jobs) {
-		t.Fatal("split lost jobs")
-	}
-}
-
 func TestSplitPeriods(t *testing.T) {
 	l := &Log{}
 	for i := 0; i < 100; i++ {
@@ -247,14 +232,6 @@ func TestCloneIndependent(t *testing.T) {
 	c.Header[0] = "changed"
 	if l.Jobs[0].Runtime == 999 || l.Header[0] == "changed" {
 		t.Fatal("Clone shares storage")
-	}
-}
-
-func TestFilter(t *testing.T) {
-	l := sampleLog()
-	big := l.Filter(func(j Job) bool { return j.Procs >= 4 })
-	if len(big.Jobs) != 2 {
-		t.Fatalf("filtered = %d", len(big.Jobs))
 	}
 }
 
