@@ -1,9 +1,10 @@
 package mds
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"coplot/internal/par"
 )
@@ -143,22 +144,21 @@ func alienationFast(diss []pair, dist []float64, budget *par.Budget) float64 {
 	num := float64(m)*ssd - ss*sd
 
 	// Denominator: visit pairs in ascending s (ties by original index).
+	// The solver passes its pairs in flattenPairs order, already
+	// ascending in s, so the visit order is the identity and the O(m)
+	// check replaces the sort; other callers get the sort.
 	order := make([]int, m)
 	for k := range order {
 		order[k] = k
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ka, kb := order[a], order[b]
-		if s[ka] != s[kb] {
-			return s[ka] < s[kb]
-		}
-		return ka < kb
-	})
+	if !slices.IsSorted(s) {
+		slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(s[a], s[b]), a-b) })
+	}
 
 	// Dense ranks of d (ties share a rank), 1-based for the trees.
 	byD := make([]int, m)
 	copy(byD, order)
-	sort.Slice(byD, func(a, b int) bool { return d[byD[a]] < d[byD[b]] })
+	slices.SortFunc(byD, func(a, b int) int { return cmp.Compare(d[a], d[b]) })
 	rank := make([]int, m)
 	r := 0
 	for i, k := range byD {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"coplot/internal/mat"
@@ -13,7 +14,7 @@ import (
 // testCityBlockDissim builds a city-block dissimilarity matrix over
 // random points: non-Euclidean on purpose, so the non-metric iterations
 // and the restarts have real work to do.
-func testCityBlockDissim(t *testing.T, n, dims int) *mat.Matrix {
+func testCityBlockDissim(t testing.TB, n, dims int) *mat.Matrix {
 	t.Helper()
 	pts := randomPoints(rng.New(uint64(n*31+dims)), n, dims)
 	d := mat.New(n, n)
@@ -98,6 +99,36 @@ func TestSSANearConstantAccepted(t *testing.T) {
 	}
 	if res.Config == nil || res.Config.Rows != 6 {
 		t.Fatalf("bad config: %+v", res)
+	}
+}
+
+// Regression test: every comparison with NaN is false, so a NaN or ±Inf
+// dissimilarity used to pass the sign, symmetry and diagonal checks
+// and reach the solver. It must be refused with an error naming the
+// cell, whether the bad value sits in both triangles or only one.
+func TestCheckDissimRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, both := range []bool{true, false} {
+			d := constantMatrix(4, 1)
+			d.Set(1, 0, 2)
+			d.Set(0, 1, 2)
+			d.Set(2, 1, v)
+			cell := "(2,1)"
+			if both {
+				d.Set(1, 2, v)
+				cell = "(1,2)"
+			}
+			err := checkDissim(d)
+			if err == nil {
+				t.Fatalf("value %v (both triangles %v) accepted", v, both)
+			}
+			if !strings.Contains(err.Error(), cell) || !strings.Contains(err.Error(), "non-finite") {
+				t.Fatalf("value %v (both triangles %v): error %q does not name non-finite cell %s", v, both, err, cell)
+			}
+			if _, err := SSAContext(context.Background(), d, Options{Seed: 1}); err == nil {
+				t.Fatalf("SSA accepted value %v (both triangles %v)", v, both)
+			}
+		}
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"coplot/internal/cluster"
 )
 
 // clusterReplica is one in-process coplotd replica of the acceptance
@@ -57,8 +59,8 @@ func startCluster(t *testing.T, n int) []*clusterReplica {
 }
 
 // clusterPost sends one generate request to a replica and returns the
-// status, cache header, and body.
-func clusterPost(t *testing.T, client *http.Client, base, path string) (int, string, []byte) {
+// status, cache header, body and cache key.
+func clusterPost(t *testing.T, client *http.Client, base, path string) (int, string, []byte, string) {
 	t.Helper()
 	resp, err := client.Post(base+path, "", nil)
 	if err != nil {
@@ -69,7 +71,7 @@ func clusterPost(t *testing.T, client *http.Client, base, path string) (int, str
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, resp.Header.Get("X-Coplot-Cache"), body
+	return resp.StatusCode, resp.Header.Get("X-Coplot-Cache"), body, resp.Header.Get("X-Coplot-Key")
 }
 
 // TestClusterAcceptance is the ISSUE-7 acceptance test: three peered
@@ -88,17 +90,36 @@ func TestClusterAcceptance(t *testing.T) {
 		"/v1/generate?model=feitelson96&procs=64&n=180&seed=7",
 	}
 
-	// Populate exclusively through A.
+	// Populate exclusively through A, counting the keys A's ring gives
+	// to another member: each of those is back-filled to its owner.
+	// Ownership follows the kernel-chosen ports, so A may own all four
+	// keys; extra paths are populated until one is remotely owned.
+	ring := a.svc.backend.(*cluster.Peer).Ring()
 	want := make(map[string][]byte, len(paths))
-	for _, p := range paths {
-		code, cache, body := clusterPost(t, client, a.url, p)
+	remote := 0
+	populate := func(p string) {
+		code, cache, body, key := clusterPost(t, client, a.url, p)
 		if code != http.StatusOK {
 			t.Fatalf("populate %s: status %d: %s", p, code, body)
 		}
 		if cache != "miss" {
 			t.Fatalf("populate %s: X-Coplot-Cache = %q, want miss", p, cache)
 		}
+		if ring.Owner(key) != a.url {
+			remote++
+		}
 		want[p] = body
+	}
+	for _, p := range paths {
+		populate(p)
+	}
+	for seed := 11; remote == 0 && seed <= 51; seed += 2 {
+		p := fmt.Sprintf("/v1/generate?model=downey&procs=64&n=200&seed=%d", seed)
+		populate(p)
+		paths = append(paths, p)
+	}
+	if remote == 0 {
+		t.Fatalf("replica A owns all %d populated keys", len(paths))
 	}
 
 	// Every key is now a byte-identical cache hit from B and C,
@@ -106,7 +127,7 @@ func TestClusterAcceptance(t *testing.T) {
 	// got it back-filled at compute time, everyone else peer-fills.
 	for _, rep := range []*clusterReplica{b, c} {
 		for _, p := range paths {
-			code, cache, body := clusterPost(t, client, rep.url, p)
+			code, cache, body, _ := clusterPost(t, client, rep.url, p)
 			if code != http.StatusOK {
 				t.Fatalf("replica %s, %s: status %d", rep.url, p, code)
 			}
@@ -120,8 +141,7 @@ func TestClusterAcceptance(t *testing.T) {
 	}
 
 	// A's manifest lists the local tier plus one peer tier per remote
-	// replica, with at least one back-fill delivered (four keys across
-	// a three-member ring: some owner is remote).
+	// replica, with one back-fill delivered per remotely owned key.
 	m := a.svc.Manifest()
 	var peerTiers, fills int
 	for _, ts := range m.Storage {
@@ -133,8 +153,8 @@ func TestClusterAcceptance(t *testing.T) {
 	if peerTiers != 2 {
 		t.Errorf("manifest lists %d peer tiers, want 2: %+v", peerTiers, m.Storage)
 	}
-	if fills == 0 {
-		t.Error("manifest records no back-fills after populating through a non-owner")
+	if fills != remote {
+		t.Errorf("manifest records %d back-fills, want %d (the populated keys another replica owns)", fills, remote)
 	}
 
 	// Kill replica C mid-load: concurrent traffic against A and B —
@@ -152,7 +172,7 @@ func TestClusterAcceptance(t *testing.T) {
 				rep := targets[(w+i)%len(targets)]
 				// A populated repeat and a fresh key per iteration.
 				repeat := paths[(w+i)%len(paths)]
-				code, _, body := clusterPost(t, client, rep.url, repeat)
+				code, _, body, _ := clusterPost(t, client, rep.url, repeat)
 				if code != http.StatusOK {
 					errc <- fmt.Errorf("repeat %s on %s: status %d", repeat, rep.url, code)
 					continue
@@ -161,7 +181,7 @@ func TestClusterAcceptance(t *testing.T) {
 					errc <- fmt.Errorf("repeat %s on %s: body drifted", repeat, rep.url)
 				}
 				fresh := fmt.Sprintf("/v1/generate?model=downey&procs=64&n=120&seed=%d", 100+10*w+i)
-				if code, _, _ := clusterPost(t, client, rep.url, fresh); code != http.StatusOK {
+				if code, _, _, _ := clusterPost(t, client, rep.url, fresh); code != http.StatusOK {
 					errc <- fmt.Errorf("fresh %s on %s: status %d", fresh, rep.url, code)
 				}
 			}
