@@ -26,12 +26,6 @@
 // -landmarks N embeds a sample of N observations exactly and places
 // the rest against it (landmark MDS) when the dataset is larger than
 // N, keeping corpus-scale runs interactive; 0 always solves exactly.
-// The resolved value is part of the report cache key.
-//
-// With -cache-dir, the rendered map report persists keyed by the input
-// bytes and options, so re-running over unchanged inputs prints the
-// cached report without recomputing; -svg/-shepard bypass the cache (a
-// hit would skip rendering them).
 //
 // Observability: -manifest records a JSON run manifest of the per-file
 // fan-out (wall time per file, jobs/timeout settings), -trace appends
@@ -54,7 +48,6 @@ import (
 	"coplot/internal/obs"
 	"coplot/internal/par"
 	"coplot/internal/service"
-	"coplot/internal/store"
 	"coplot/internal/swf"
 	"coplot/internal/workload"
 )
@@ -74,7 +67,6 @@ func realMain() int {
 	seed := flag.Uint64("seed", 7, "MDS restart seed")
 	landmarks := flag.Int("landmarks", 0, "landmark count: analyses over more observations use landmark MDS (0 = always solve exactly)")
 	procs := flag.Int("procs", 128, "machine size for SWF inputs")
-	cacheDir := flag.String("cache-dir", "", "durable report cache directory; the rendered map report is reused across invocations over unchanged inputs")
 	manifestPath := flag.String("manifest", "", "write the run manifest to this file")
 	tracePath := flag.String("trace", "", "append engine events as JSON lines to this file")
 	var opts engine.Options
@@ -107,28 +99,6 @@ func realMain() int {
 		}
 		defer f.Close()
 		sinks = append(sinks, obs.NewTrace(f))
-	}
-
-	// The report cache keys the rendered map by input bytes + options;
-	// SVG outputs bypass it, since a hit skips the analysis that renders
-	// them. A hit prints the cached report and exits before any loading.
-	var cache store.Backend
-	var reportKey string
-	if *cacheDir != "" && *svgPath == "" && *shepardPath == "" {
-		cache, err = store.Open(*cacheDir, nil, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "coplot:", err)
-			return 1
-		}
-		if key, ok := cacheKeyFor(*csvPath, flag.Args(), *prune, *vars, *seed, *procs, *landmarks); ok {
-			reportKey = key
-			if v, ok := cache.Get(key); ok {
-				if text, ok := v.([]byte); ok {
-					fmt.Print(string(text))
-					return 0
-				}
-			}
-		}
 	}
 
 	opts.Sink = obs.Multi(sinks...)
@@ -169,13 +139,7 @@ func realMain() int {
 		fmt.Fprintln(os.Stderr, "coplot:", err)
 		return 1
 	}
-	reportText := res.Report()
-	fmt.Print(reportText)
-	if reportKey != "" && exit == 0 {
-		// Only a clean run caches: a degraded keep-going map reflects
-		// whatever subset of logs survived, not the argument list.
-		cache.Put(reportKey, []byte(reportText), int64(len(reportText)))
-	}
+	fmt.Print(res.Report())
 	if *svgPath != "" {
 		if err := os.WriteFile(*svgPath, []byte(res.SVG(720, 540)), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "coplot:", err)
@@ -194,44 +158,6 @@ func realMain() int {
 		}
 	}
 	return exit
-}
-
-// reportCacheSchema versions the cached report layout; bump it when
-// the report rendering changes, so stale disk caches miss instead of
-// serving old text.
-const reportCacheSchema = 1
-
-// cacheKeyFor derives the durable cache key for the rendered map
-// report: a content hash over every input file plus the options that
-// shape the report (-jobs is excluded — output is identical at any
-// worker count). ok is false when an input cannot be read or the
-// argument mix is invalid; the normal load path surfaces the error.
-func cacheKeyFor(csvPath string, swfPaths []string, prune float64, vars string, seed uint64, procs, landmarks int) (string, bool) {
-	if csvPath != "" && len(swfPaths) > 0 {
-		return "", false
-	}
-	paths := swfPaths
-	if csvPath != "" {
-		paths = []string{csvPath}
-	}
-	blobs := make([][]byte, 0, len(paths))
-	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return "", false
-		}
-		blobs = append(blobs, data)
-	}
-	opts := []string{
-		fmt.Sprintf("schema=%d", reportCacheSchema),
-		fmt.Sprintf("csv=%t", csvPath != ""),
-		fmt.Sprintf("prune=%g", prune),
-		"vars=" + vars,
-		fmt.Sprintf("seed=%d", seed),
-		fmt.Sprintf("procs=%d", procs),
-		fmt.Sprintf("landmarks=%d", landmarks),
-	}
-	return store.Key("coplot-cli", opts, blobs...), true
 }
 
 func loadDataset(csvPath string, swfPaths []string, procs int, opts engine.Options) (*core.Dataset, error) {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"coplot/internal/doccheck"
 	"coplot/internal/engine"
 	"coplot/internal/service"
 )
@@ -113,43 +114,6 @@ func TestLoadDatasetDispatch(t *testing.T) {
 	}
 }
 
-// TestCacheKeyFor pins the report-cache keying: deterministic over
-// identical inputs, sensitive to content and options, and refusing the
-// cases the cache must not serve.
-func TestCacheKeyFor(t *testing.T) {
-	csv := writeFile(t, "m.csv", "name,x,y\na,1,2\nb,3,4\nc,5,6\n")
-	k1, ok := cacheKeyFor(csv, nil, 0.7, "", 7, 128, 0)
-	if !ok {
-		t.Fatal("readable input rejected")
-	}
-	k2, _ := cacheKeyFor(csv, nil, 0.7, "", 7, 128, 0)
-	if k1 != k2 {
-		t.Fatal("same inputs keyed differently")
-	}
-	if k3, _ := cacheKeyFor(csv, nil, 0.8, "", 7, 128, 0); k3 == k1 {
-		t.Fatal("prune change did not change the key")
-	}
-	if k4, _ := cacheKeyFor(csv, nil, 0.7, "", 8, 128, 0); k4 == k1 {
-		t.Fatal("seed change did not change the key")
-	}
-	if k6, _ := cacheKeyFor(csv, nil, 0.7, "", 7, 128, 50); k6 == k1 {
-		t.Fatal("landmark change did not change the key")
-	}
-	if err := os.WriteFile(csv, []byte("name,x,y\na,9,9\nb,3,4\nc,5,6\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if k5, _ := cacheKeyFor(csv, nil, 0.7, "", 7, 128, 0); k5 == k1 {
-		t.Fatal("content change did not change the key")
-	}
-
-	if _, ok := cacheKeyFor(csv, []string{"x.swf"}, 0, "", 7, 128, 0); ok {
-		t.Fatal("mixed csv+swf arguments must not key")
-	}
-	if _, ok := cacheKeyFor(filepath.Join(t.TempDir(), "none.csv"), nil, 0, "", 7, 128, 0); ok {
-		t.Fatal("unreadable input must not key")
-	}
-}
-
 // TestNegativeLandmarksIsUsageError: a negative -landmarks exits 2
 // naming the flag, instead of analyzing as if it were 0.
 func TestNegativeLandmarksIsUsageError(t *testing.T) {
@@ -160,5 +124,21 @@ func TestNegativeLandmarksIsUsageError(t *testing.T) {
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-landmarks") {
 		t.Fatalf("coplot -landmarks -1: %v\n%s", err, out)
+	}
+}
+
+// TestEngineFlagTableMatchesFlags: every ✓ in the `coplot` column of
+// README's "Engine flags" table names a flag coplot registers, so a
+// deleted flag cannot leave its row behind.
+func TestEngineFlagTableMatchesFlags(t *testing.T) {
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "COPLOT_MAIN_ARGS=-h")
+	usage, _ := cmd.CombinedOutput() // -h exits after printing the flag defaults
+	violations, err := doccheck.CheckFlagTable("../../README.md", "coplot", usage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range violations {
+		t.Error(v)
 	}
 }

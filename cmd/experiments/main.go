@@ -6,7 +6,6 @@
 //	            [-jobs N] [-timeout D] [-task-timeout D]
 //	            [-retries N] [-backoff D] [-keep-going]
 //	            [-sitejobs N] [-modeljobs N] [-periodjobs N]
-//	            [-cache-dir DIR]
 //	            [-manifest FILE] [-trace FILE] [-inject SPEC]
 //	            [-cpuprofile FILE] [-memprofile FILE] [-pprof ADDR]
 //	experiments -report [-manifest FILE] [-report-into FILE]
@@ -17,12 +16,6 @@
 // seeds (robustness sweep across master seeds), moments, stability,
 // loadscale, parametric, selfsim-models. -run accepts a comma-separated
 // list; dependencies shared between the named experiments run once.
-//
-// With -cache-dir, completed experiment outputs persist as
-// content-addressed files and a later invocation with the same seed
-// and settings reuses them instead of recomputing (keys fold in the
-// configuration and the Go version, so changed settings or toolchains
-// miss). The cache is bypassed while -inject is active.
 //
 // Experiments run on a dependency-aware parallel engine, under the
 // engine flags engine.Options.RegisterFlags declares for experiments,
@@ -77,7 +70,6 @@ import (
 	"coplot/internal/experiments"
 	"coplot/internal/faultinject"
 	"coplot/internal/obs"
-	"coplot/internal/store"
 )
 
 func main() {
@@ -96,7 +88,6 @@ func run(args []string, stdout io.Writer) error {
 	siteJobs := fs.Int("sitejobs", 0, "jobs per production-site log (0 = default)")
 	modelJobs := fs.Int("modeljobs", 0, "jobs per synthetic-model log (0 = default)")
 	periodJobs := fs.Int("periodjobs", 0, "jobs per half-year period log (0 = default)")
-	cacheDir := fs.String("cache-dir", "", "durable experiment cache directory; completed outputs are reused by later invocations with the same settings")
 	manifest := fs.String("manifest", "out/manifest.json", "write the run manifest to this file ('' = off)")
 	trace := fs.String("trace", "", "append engine events as JSON lines to this file")
 	report := fs.Bool("report", false, "render the manifest as a Markdown timing table and exit")
@@ -166,13 +157,6 @@ func run(args []string, stdout io.Writer) error {
 		Seed: *seed, Jobs: *siteJobs, ModelJobs: *modelJobs, PeriodJobs: *periodJobs,
 	}
 	opts.Inject, opts.Sink = sched, obs.Multi(sinks...)
-	if *cacheDir != "" {
-		backend, err := store.Open(*cacheDir, experiments.OutputCodec{}, 0)
-		if err != nil {
-			return err
-		}
-		opts.Cache = backend
-	}
 	ctx := context.Background()
 
 	var outs []*experiments.Output

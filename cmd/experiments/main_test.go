@@ -3,12 +3,25 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"coplot/internal/doccheck"
 	"coplot/internal/obs"
 )
+
+// TestMain runs the CLI itself when EXPERIMENTS_MAIN_ARGS is set (one
+// argument per line), so a test can read main's output in a child
+// process.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("EXPERIMENTS_MAIN_ARGS"); ok {
+		os.Args = append([]string{"experiments"}, strings.Split(args, "\n")...)
+		main()
+	}
+	os.Exit(m.Run())
+}
 
 // smallArgs keeps the CLI suite fast; the point is the wiring, not the
 // calibration quality (covered by internal/experiments).
@@ -258,5 +271,21 @@ func TestReportMissingManifest(t *testing.T) {
 	err := run([]string{"-report", "-manifest", filepath.Join(t.TempDir(), "nope.json")}, &strings.Builder{})
 	if err == nil {
 		t.Fatal("missing manifest accepted")
+	}
+}
+
+// TestEngineFlagTableMatchesFlags: every ✓ in the `experiments` column
+// of README's "Engine flags" table names a flag experiments registers,
+// so a deleted flag cannot leave its row behind.
+func TestEngineFlagTableMatchesFlags(t *testing.T) {
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "EXPERIMENTS_MAIN_ARGS=-h")
+	usage, _ := cmd.CombinedOutput() // -h exits after printing the flag defaults
+	violations, err := doccheck.CheckFlagTable("../../README.md", "experiments", usage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range violations {
+		t.Error(v)
 	}
 }

@@ -7,7 +7,6 @@
 //
 //	hurst [-svgdir DIR] [-jobs N] [-timeout D]
 //	      [-retries N] [-backoff D] [-task-timeout D] [-keep-going=BOOL]
-//	      [-cache-dir DIR]
 //	      FILE.swf...
 //
 // Files are estimated in parallel, one engine.Map task per file, under
@@ -23,11 +22,6 @@
 // With -svgdir, the three diagnostic plots (pox plot, variance-time
 // plot, periodogram) of each series are written as SVG files.
 //
-// With -cache-dir, each file's rendered report persists keyed by the
-// file's content, so re-running over unchanged logs skips the
-// estimation entirely; -svgdir bypasses the cache (a hit would skip
-// writing the plots).
-//
 // Observability: -manifest records a JSON run manifest of the per-file
 // fan-out (wall time per file, jobs/timeout settings), -trace appends
 // the engine events as JSON lines, and -cpuprofile/-memprofile/-pprof
@@ -35,7 +29,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -48,7 +41,6 @@ import (
 	"coplot/internal/par"
 	"coplot/internal/selfsim"
 	"coplot/internal/service"
-	"coplot/internal/store"
 	"coplot/internal/swf"
 )
 
@@ -60,7 +52,6 @@ func main() {
 // cleanups (profile flush, trace close) run before the process exits.
 func realMain() int {
 	svgDir := flag.String("svgdir", "", "write diagnostic plots as SVG under this directory")
-	cacheDir := flag.String("cache-dir", "", "durable report cache directory; a file's rendered report is reused across invocations")
 	manifestPath := flag.String("manifest", "", "write the run manifest to this file")
 	tracePath := flag.String("trace", "", "append engine events as JSON lines to this file")
 	// A failing file does not stop the others unless -keep-going=false.
@@ -94,16 +85,8 @@ func realMain() int {
 		defer f.Close()
 		sinks = append(sinks, obs.NewTrace(f))
 	}
-	var cache store.Backend
-	if *cacheDir != "" {
-		cache, err = store.Open(*cacheDir, nil, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hurst:", err)
-			return 1
-		}
-	}
 	opts.Sink = obs.Multi(sinks...)
-	reports := estimateAll(flag.Args(), *svgDir, cache, opts)
+	reports := estimateAll(flag.Args(), *svgDir, opts)
 	if *manifestPath != "" {
 		m := metrics.Manifest(obs.RunInfo{Tool: "hurst", Jobs: opts.Jobs, Timeout: opts.Timeout})
 		if err := m.WriteFile(*manifestPath); err != nil {
@@ -136,9 +119,8 @@ type report struct {
 // back inside the per-file reports: a file that was estimated keeps
 // its report even when another file fails the batch, a file that
 // failed or was cancelled carries its own error, and a file that never
-// started carries the batch error. cache is the durable report cache
-// (nil = none).
-func estimateAll(paths []string, svgDir string, cache store.Backend, opts engine.Options) []report {
+// started carries the batch error.
+func estimateAll(paths []string, svgDir string, opts engine.Options) []report {
 	// One budget for the whole batch: file workers and the estimator
 	// fan-out inside each file draw from the same -jobs.
 	budget := par.NewBudget(opts.Jobs)
@@ -146,7 +128,7 @@ func estimateAll(paths []string, svgDir string, cache store.Backend, opts engine
 	ran := make([]bool, len(paths))
 	_, err := engine.Map(context.Background(), paths, opts,
 		func(ctx context.Context, i int) (struct{}, error) {
-			text, err := estimate(ctx, paths[i], svgDir, cache, budget)
+			text, err := estimate(ctx, paths[i], svgDir, budget)
 			if err == nil {
 				err = ctx.Err() // the engine fails an attempt that outlived its context
 			}
@@ -163,36 +145,17 @@ func estimateAll(paths []string, svgDir string, cache store.Backend, opts engine
 	return out
 }
 
-// reportCacheSchema versions the cached report layout; bump it when
-// the report rendering changes, so stale disk caches miss instead of
-// serving old text.
-const reportCacheSchema = 1
-
 // estimate renders one log's estimates through the shared
 // serving-layer renderer — hurst output and the /v1/hurst endpoint
 // stay byte-identical — hooking the SVG diagnostics into its
-// per-series callback. With a cache, the rendered report is keyed by
-// the file's content (plus the report label, which embeds the path)
-// and reused across invocations; SVG output bypasses the cache, since
-// a cached hit would skip writing the plots.
-func estimate(ctx context.Context, path, svgDir string, cache store.Backend, budget *par.Budget) (string, error) {
-	data, err := os.ReadFile(path)
+// per-series callback.
+func estimate(ctx context.Context, path, svgDir string, budget *par.Budget) (string, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return "", err
 	}
-	var key string
-	if cache != nil && svgDir == "" {
-		key = store.Key("hurst-cli", []string{
-			fmt.Sprintf("schema=%d", reportCacheSchema),
-			"label=" + path,
-		}, data)
-		if v, ok := cache.Get(key); ok {
-			if text, ok := v.([]byte); ok {
-				return string(text), nil
-			}
-		}
-	}
-	log, err := swf.Parse(bytes.NewReader(data))
+	defer f.Close()
+	log, err := swf.Parse(f)
 	if err != nil {
 		return "", err
 	}
@@ -202,11 +165,7 @@ func estimate(ctx context.Context, path, svgDir string, cache store.Backend, bud
 			return writeDiagnostics(svgDir, path, name, x)
 		}
 	}
-	text, err := service.HurstReport(ctx, path, log, budget, onSeries)
-	if err == nil && key != "" {
-		cache.Put(key, []byte(text), int64(len(text)))
-	}
-	return text, err
+	return service.HurstReport(ctx, path, log, budget, onSeries)
 }
 
 func writeDiagnostics(dir, logPath, seriesName string, x []float64) error {

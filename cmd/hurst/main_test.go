@@ -5,20 +5,31 @@ import (
 	"errors"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"coplot/internal/doccheck"
 	"coplot/internal/engine"
 	"coplot/internal/models"
 	"coplot/internal/obs"
 	"coplot/internal/par"
 	"coplot/internal/rng"
-	"coplot/internal/store"
 	"coplot/internal/swf"
 )
+
+// TestMain runs the CLI itself when HURST_MAIN_ARGS is set (one argument
+// per line), so a test can read main's output in a child process.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("HURST_MAIN_ARGS"); ok {
+		os.Args = append([]string{"hurst"}, strings.Split(args, "\n")...)
+		main()
+	}
+	os.Exit(m.Run())
+}
 
 func writeTestLog(t *testing.T) string {
 	t.Helper()
@@ -38,7 +49,7 @@ func writeTestLog(t *testing.T) string {
 func TestEstimateWritesDiagnostics(t *testing.T) {
 	path := writeTestLog(t)
 	svgDir := t.TempDir()
-	text, err := estimate(context.Background(), path, svgDir, nil, par.NewBudget(2))
+	text, err := estimate(context.Background(), path, svgDir, par.NewBudget(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +72,7 @@ func TestEstimateWritesDiagnostics(t *testing.T) {
 }
 
 func TestEstimateMissingFile(t *testing.T) {
-	if _, err := estimate(context.Background(), filepath.Join(t.TempDir(), "none.swf"), "", nil, nil); err == nil {
+	if _, err := estimate(context.Background(), filepath.Join(t.TempDir(), "none.swf"), "", nil); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -69,7 +80,7 @@ func TestEstimateMissingFile(t *testing.T) {
 func TestEstimateAllContinuesPastErrors(t *testing.T) {
 	good := writeTestLog(t)
 	missing := filepath.Join(t.TempDir(), "none.swf")
-	reports := estimateAll([]string{good, missing, good}, "", nil, engine.Options{Jobs: 2, KeepGoing: true})
+	reports := estimateAll([]string{good, missing, good}, "", engine.Options{Jobs: 2, KeepGoing: true})
 	if len(reports) != 3 {
 		t.Fatalf("reports = %d", len(reports))
 	}
@@ -124,8 +135,8 @@ func TestEstimateAllFailFastKeepsCompletedReports(t *testing.T) {
 			}
 		},
 	}}
-	reports := estimateAll(paths, "", nil, opts)
-	want, err := estimate(context.Background(), good, "", nil, par.NewBudget(1))
+	reports := estimateAll(paths, "", opts)
+	want, err := estimate(context.Background(), good, "", par.NewBudget(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +153,35 @@ func TestEstimateAllFailFastKeepsCompletedReports(t *testing.T) {
 	}
 }
 
+// TestEstimateAllFailFastInArgumentOrder: at one worker with KeepGoing
+// off, files run in argument order, so the batch stops at the first
+// failing argument: the file before it keeps its report, the failing
+// file carries its own error, and the file after it never runs and
+// carries the batch error.
+func TestEstimateAllFailFastInArgumentOrder(t *testing.T) {
+	good := writeTestLog(t)
+	missing := filepath.Join(t.TempDir(), "none.swf")
+	reports := estimateAll([]string{good, missing, good}, "", engine.Options{Jobs: 1})
+	want, err := estimate(context.Background(), good, "", par.NewBudget(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reports[0].err != nil || reports[0].text != want {
+		t.Fatalf("file 0: err %v, text %q; want its report", reports[0].err, reports[0].text)
+	}
+	own := reports[1].err
+	if !errors.Is(own, fs.ErrNotExist) || strings.HasPrefix(own.Error(), "engine: ") {
+		t.Fatalf("file 1: err %v, want its own not-exist error", own)
+	}
+	if batch := "engine: " + missing + ": " + own.Error(); reports[2].err == nil || reports[2].err.Error() != batch {
+		t.Fatalf("file 2: err %v, want the batch error %q", reports[2].err, batch)
+	}
+}
+
 func TestEstimateAllParallelDeterministic(t *testing.T) {
 	paths := []string{writeTestLog(t), writeTestLog(t), writeTestLog(t)}
-	serial := estimateAll(paths, "", nil, engine.Options{Jobs: 1, KeepGoing: true})
-	parallel := estimateAll(paths, "", nil, engine.Options{Jobs: 4, KeepGoing: true})
+	serial := estimateAll(paths, "", engine.Options{Jobs: 1, KeepGoing: true})
+	parallel := estimateAll(paths, "", engine.Options{Jobs: 4, KeepGoing: true})
 	for i := range serial {
 		if serial[i].text != parallel[i].text {
 			t.Fatalf("report %d differs between jobs=1 and jobs=4", i)
@@ -153,54 +189,18 @@ func TestEstimateAllParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestEstimateWarmCache proves the cross-invocation cache: a second
-// estimate of the same file over the same disk backend — a fresh
-// backend instance, as a second CLI process would open — returns the
-// identical report from the cache without recomputing.
-func TestEstimateWarmCache(t *testing.T) {
-	path := writeTestLog(t)
-	dir := t.TempDir()
-	cache, err := store.NewDisk(dir, nil)
+// TestEngineFlagTableMatchesFlags: every ✓ in the `hurst` column of
+// README's "Engine flags" table names a flag hurst registers, so a
+// deleted flag cannot leave its row behind.
+func TestEngineFlagTableMatchesFlags(t *testing.T) {
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "HURST_MAIN_ARGS=-h")
+	usage, _ := cmd.CombinedOutput() // -h exits after printing the flag defaults
+	violations, err := doccheck.CheckFlagTable("../../README.md", "hurst", usage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := estimate(context.Background(), path, "", cache, par.NewBudget(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// "Second invocation": reopen the cache directory from scratch.
-	cache2, err := store.NewDisk(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := estimate(context.Background(), path, "", cache2, par.NewBudget(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm != cold {
-		t.Fatal("cached report differs from computed report")
-	}
-	st := cache2.Stats()
-	if st[0].Hits != 1 {
-		t.Fatalf("disk hits = %d, want 1", st[0].Hits)
-	}
-
-	// A different file misses: the key folds in both the content and
-	// the path (the report text embeds the path as its label).
-	other := writeTestLog(t)
-	data, err := os.ReadFile(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(other, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := estimate(context.Background(), other, "", cache2, par.NewBudget(1)); err != nil {
-		t.Fatal(err)
-	}
-	st = cache2.Stats()
-	if st[0].Misses == 0 {
-		t.Fatal("changed content should miss")
+	for _, v := range violations {
+		t.Error(v)
 	}
 }

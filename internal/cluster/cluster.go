@@ -91,7 +91,7 @@ type Config struct {
 	Local store.Backend
 	// Codec translates artifacts to wire bytes and back; it must match
 	// the codec every other replica uses. Values the codec declines
-	// stay local and are never exchanged. Nil means store.RawBytes.
+	// stay local and are never exchanged. Required.
 	Codec store.Codec
 }
 
@@ -154,9 +154,6 @@ func New(cfg Config) (*Peer, error) {
 		attempts: cfg.Retries + 1,
 		pol:      engine.RetryPolicy{Seed: jitterSeed},
 		stats:    map[string]*peerStats{},
-	}
-	if p.codec == nil {
-		p.codec = store.RawBytes{}
 	}
 	if p.timeout <= 0 {
 		p.timeout = DefaultTimeout

@@ -19,19 +19,20 @@ import (
 // with the reason. Every other exported function with no non-test
 // reference is dead surface and fails TestNoDeadExportedFuncs.
 var keptUnreferenced = map[string]string{
-	"coplot/internal/doccheck.Check":       "the godoc-hygiene gate; this package's tests apply it to the tree",
-	"coplot/internal/experiments.Figure1":  "root bench_test.go benchmarks one paper figure per call",
-	"coplot/internal/experiments.Figure2":  "root bench_test.go benchmarks one paper figure per call",
-	"coplot/internal/experiments.Figure3":  "root bench_test.go benchmarks one paper figure per call",
-	"coplot/internal/experiments.Figure5":  "root bench_test.go benchmarks one paper figure per call",
-	"coplot/internal/experiments.Params3":  "root bench_test.go benchmarks the section-8 parameter figure",
-	"coplot/internal/fft.IFFT":             "the inverse transform the FFT round-trip test checks FFT against",
-	"coplot/internal/fgn.Hosking":          "the exact O(n²) generator Davies-Harte is tested and benchmarked against",
-	"coplot/internal/mat.FromRows":         "literal-matrix constructor of the mat, mds and stats tests",
-	"coplot/internal/series.ACF":           "equation 5's sample autocorrelation; the fGn tests measure the generators with it",
-	"coplot/internal/service.APIReference": "renders docs/API.md; the service tests keep that file current",
-	"coplot/internal/stats.PAVA":           "allocating form of PAVAScratch.Fit, the solver's monotone step; the PAVA tests reach Fit through it",
-	"coplot/internal/swf.Merge":            "splices logs for the homogeneity audit's regime-change test",
+	"coplot/internal/doccheck.Check":          "the godoc-hygiene gate; this package's tests apply it to the tree",
+	"coplot/internal/doccheck.CheckFlagTable": "the flag-table gate; the coplot, hurst and experiments tests apply it to their binaries",
+	"coplot/internal/experiments.Figure1":     "root bench_test.go benchmarks one paper figure per call",
+	"coplot/internal/experiments.Figure2":     "root bench_test.go benchmarks one paper figure per call",
+	"coplot/internal/experiments.Figure3":     "root bench_test.go benchmarks one paper figure per call",
+	"coplot/internal/experiments.Figure5":     "root bench_test.go benchmarks one paper figure per call",
+	"coplot/internal/experiments.Params3":     "root bench_test.go benchmarks the section-8 parameter figure",
+	"coplot/internal/fft.IFFT":                "the inverse transform the FFT round-trip test checks FFT against",
+	"coplot/internal/fgn.Hosking":             "the exact O(n²) generator Davies-Harte is tested and benchmarked against",
+	"coplot/internal/mat.FromRows":            "literal-matrix constructor of the mat, mds and stats tests",
+	"coplot/internal/series.ACF":              "equation 5's sample autocorrelation; the fGn tests measure the generators with it",
+	"coplot/internal/service.APIReference":    "renders docs/API.md; the service tests keep that file current",
+	"coplot/internal/stats.PAVA":              "allocating form of PAVAScratch.Fit, the solver's monotone step; the PAVA tests reach Fit through it",
+	"coplot/internal/swf.Merge":               "splices logs for the homogeneity audit's regime-change test",
 }
 
 // keptUnselected lists the exported methods under internal/ that no

@@ -3,7 +3,8 @@
 // lack doc comments, plus packages missing a package comment. The
 // godoc-hygiene test applies it to internal/engine, internal/obs and
 // every cmd/* package, so the documentation bar is enforced by `go
-// test` in CI rather than by convention.
+// test` in CI rather than by convention. CheckFlagTable holds README's
+// engine-flags table to the flags each batch command registers.
 package doccheck
 
 import (

@@ -129,6 +129,32 @@ func internal() {}
 	}
 }
 
+// TestCheckFlagTable: a ✓ for a flag the usage output does not list is
+// a violation; a registered flag and a blank cell are not; a missing
+// column is an error.
+func TestCheckFlagTable(t *testing.T) {
+	readme := filepath.Join(t.TempDir(), "README.md")
+	table := "# x\n\n### Engine flags\n\n" +
+		"| flag | `a` | `b` | meaning |\n|---|---|---|---|\n" +
+		"| `-jobs N` | ✓ | ✓ | workers |\n" +
+		"| `-gone DIR` | ✓ (default on) | | deleted |\n" +
+		"| `-seed N` | | ✓ | seed \\| more |\n\nprose | with a pipe\n"
+	if err := os.WriteFile(readme, []byte(table), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	usage := []byte("Usage of a:\n  -jobs int\n    \tworkers\n")
+	got, err := CheckFlagTable(readme, "a", usage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := readme + ": the engine-flags table marks -gone for a, which does not register it"; len(got) != 1 || got[0] != want {
+		t.Fatalf("violations %q, want [%q]", got, want)
+	}
+	if _, err := CheckFlagTable(readme, "c", usage); err == nil {
+		t.Fatal("a missing column was accepted")
+	}
+}
+
 func TestCheckMissingDir(t *testing.T) {
 	if _, err := Check(filepath.Join(t.TempDir(), "nope"), Full); err == nil {
 		t.Fatal("missing directory accepted")

@@ -35,6 +35,28 @@ func TestMapOrderedResults(t *testing.T) {
 	}
 }
 
+// TestMapStartsInLabelOrder: items have no dependencies, so at one
+// worker they start in label order, not in whatever order their
+// goroutines are scheduled.
+func TestMapStartsInLabelOrder(t *testing.T) {
+	const n = 16
+	var started []int // appended under the single worker slot
+	if _, err := Map(context.Background(), itemLabels(n), Options{Jobs: 1}, func(ctx context.Context, i int) (int, error) {
+		started = append(started, i)
+		return i, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range started {
+		if got != i {
+			t.Fatalf("start order %v, want 0..%d", started, n-1)
+		}
+	}
+	if len(started) != n {
+		t.Fatalf("started %d items, want %d", len(started), n)
+	}
+}
+
 func TestMapEmpty(t *testing.T) {
 	got, err := Map(context.Background(), itemLabels(0), Options{Jobs: 4}, func(ctx context.Context, i int) (int, error) {
 		return 0, fmt.Errorf("must not run")

@@ -214,14 +214,15 @@ func (r *Registry[E]) resolve(names []string, env E) (tasks []*task, byName map[
 
 // schedule is the engine's one scheduling loop. It runs tasks — every
 // dependency listed before its dependents — on at most workers
-// concurrent slots: a task waits for its dependencies (and is skipped
-// if one failed), takes a slot, runs its attempts under the per-task
-// timeout, and by default cancels the run on failure. It then
-// classifies the failures deterministically in task order: genuine
-// root failures, skipped dependents, and cancellation ripples from
-// another task's failure. It returns nil, a *DegradedError (keep-going
-// with failures), or the first root failure labeled with its task
-// name; every task's res is final either way.
+// concurrent slots: tasks without dependencies take slots in task
+// order; a task with dependencies waits for them (and is skipped if
+// one failed) and then takes a slot. A task runs its attempts under
+// the per-task timeout, and by default cancels the run on failure.
+// schedule then classifies the failures deterministically in task
+// order: genuine root failures, skipped dependents, and cancellation
+// ripples from another task's failure. It returns nil, a
+// *DegradedError (keep-going with failures), or the first root failure
+// labeled with its task name; every task's res is final either way.
 func schedule(ctx context.Context, tasks []*task, workers int, opts Options) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -234,8 +235,26 @@ func schedule(ctx context.Context, tasks []*task, workers int, opts Options) err
 	for _, t := range tasks {
 		t.done = make(chan struct{})
 	}
+	// acquire takes a worker slot for t, or records t as cancelled when
+	// the run ends first.
+	acquire := func(t *task) bool {
+		select {
+		case slots <- struct{}{}:
+			return true
+		case <-runCtx.Done():
+			t.res.Err = runCtx.Err()
+			obs.Emit(sink, obs.Event{Kind: obs.KindTaskCancel, Name: t.res.Name, Err: t.res.Err.Error()})
+			return false
+		}
+	}
 	var wg sync.WaitGroup
 	for _, t := range tasks {
+		// Taking independent tasks' slots here starts them in task order.
+		independent := len(t.deps) == 0
+		if independent && !acquire(t) {
+			close(t.done)
+			continue
+		}
 		wg.Add(1)
 		go func(t *task) {
 			defer wg.Done()
@@ -251,11 +270,7 @@ func schedule(ctx context.Context, tasks []*task, workers int, opts Options) err
 				}
 				deps = append(deps, d.res.Name)
 			}
-			select {
-			case slots <- struct{}{}:
-			case <-runCtx.Done():
-				t.res.Err = runCtx.Err()
-				obs.Emit(sink, obs.Event{Kind: obs.KindTaskCancel, Name: name, Err: t.res.Err.Error()})
+			if !independent && !acquire(t) {
 				return
 			}
 			obs.Emit(sink, obs.Event{Kind: obs.KindPoolSample, InUse: int(occupancy.Add(1)), Capacity: workers})

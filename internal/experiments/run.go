@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -15,7 +13,6 @@ import (
 	"coplot/internal/faultinject"
 	"coplot/internal/par"
 	"coplot/internal/rng"
-	"coplot/internal/store"
 )
 
 // Output is one experiment's rendered artifacts.
@@ -166,25 +163,17 @@ func Deps(name string) ([]string, error) { return registry.Deps(name) }
 
 // RunOptions configure engine execution: the engine's run options
 // (cmd/experiments binds them with engine.Options.RegisterFlags) plus
-// the suite's fault injection and durable cache. Jobs also sizes the
-// shared kernel worker budget (Config.Par) the SSA multi-starts and
-// Hurst estimator fan-outs draw from; any value produces byte-identical
-// outputs. Retry backoff jitter is derived from the run seed unless
-// Retry.Seed is set. Observability (Sink) never alters the outputs.
+// the suite's fault injection. Jobs also sizes the shared kernel
+// worker budget (Config.Par) the SSA multi-starts and Hurst estimator
+// fan-outs draw from; any value produces byte-identical outputs. Retry
+// backoff jitter is derived from the run seed unless Retry.Seed is
+// set. Observability (Sink) never alters the outputs.
 type RunOptions struct {
 	engine.Options
 	// Inject is an optional fault-injection schedule spliced around the
 	// registered experiments (nil = no injection). Used by tests and
 	// the -inject CLI flag to exercise failure paths deterministically.
 	Inject *faultinject.Schedule
-	// Cache is an optional artifact backend spliced around every
-	// experiment: a completed *Output is stored under a key derived
-	// from (experiment name, Config, Go version), and a later run with
-	// the same key — typically a second CLI invocation over a durable
-	// backend — reuses it instead of recomputing. Only successful
-	// outputs are cached; the cache is ignored while Inject is active,
-	// so fault campaigns always execute for real. Nil disables caching.
-	Cache store.Backend
 }
 
 // Run executes one named experiment — and, first, its dependencies —
@@ -245,8 +234,6 @@ func runNames(ctx context.Context, names []string, cfg Config, opts RunOptions) 
 	reg := registry
 	if opts.Inject.Enabled() {
 		reg = faultinject.Wrap(opts.Inject, registry)
-	} else if opts.Cache != nil {
-		reg = reg.Wrapped(cacheWrap(opts.Cache, cfg))
 	}
 	eopts := opts.Options
 	if eopts.Retry.Seed == 0 {
@@ -274,80 +261,6 @@ func runNames(ctx context.Context, names []string, cfg Config, opts RunOptions) 
 		return outs, deg
 	}
 	return outs, nil
-}
-
-// outputCacheSchema versions the cached-output layout; bump it when
-// Output or any experiment's rendering changes incompatibly, so stale
-// disk caches miss instead of serving old artifacts.
-const outputCacheSchema = 1
-
-// experimentKey derives the durable cache key for one experiment under
-// one configuration. Every Config field that shapes output bytes is
-// folded in, plus the Go version — numeric results are only guaranteed
-// byte-identical within one toolchain build.
-func experimentKey(name string, cfg Config) string {
-	c := cfg.WithDefaults()
-	return store.Key("exp", []string{
-		fmt.Sprintf("schema=%d", outputCacheSchema),
-		"go=" + runtime.Version(),
-		"name=" + name,
-		fmt.Sprintf("seed=%d", c.Seed),
-		fmt.Sprintf("jobs=%d", c.Jobs),
-		fmt.Sprintf("modeljobs=%d", c.ModelJobs),
-		fmt.Sprintf("periodjobs=%d", c.PeriodJobs),
-		fmt.Sprintf("mdsseed=%d", c.MDSSeed),
-	})
-}
-
-// cacheWrap splices a durable artifact cache around every registered
-// experiment: hits skip the compute entirely, and successful outputs
-// are stored for the next run.
-func cacheWrap(b store.Backend, cfg Config) func(string, engine.RunFunc[*Env]) engine.RunFunc[*Env] {
-	return func(name string, run engine.RunFunc[*Env]) engine.RunFunc[*Env] {
-		key := experimentKey(name, cfg)
-		return func(ctx context.Context, env *Env) (any, error) {
-			if v, ok := b.Get(key); ok {
-				if o, ok := v.(*Output); ok {
-					return o, nil
-				}
-			}
-			v, err := run(ctx, env)
-			if err != nil {
-				return v, err
-			}
-			if o, ok := v.(*Output); ok {
-				b.Put(key, o, int64(len(o.Text)+len(o.SVG)))
-			}
-			return v, nil
-		}
-	}
-}
-
-// OutputCodec persists *Output artifacts as JSON in a durable cache
-// tier; other values stay memory-only. cmd/experiments passes it to
-// store.Open so a -cache-dir survives across invocations.
-type OutputCodec struct{}
-
-// Encode implements store.Codec.
-func (OutputCodec) Encode(v any) ([]byte, bool) {
-	o, ok := v.(*Output)
-	if !ok {
-		return nil, false
-	}
-	data, err := json.Marshal(o)
-	if err != nil {
-		return nil, false
-	}
-	return data, true
-}
-
-// Decode implements store.Codec.
-func (OutputCodec) Decode(data []byte) (any, error) {
-	var o Output
-	if err := json.Unmarshal(data, &o); err != nil {
-		return nil, err
-	}
-	return &o, nil
 }
 
 func figOutput(name string, fig *FigureResult, err error) (*Output, error) {

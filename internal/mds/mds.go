@@ -646,7 +646,10 @@ const maxOrderedBits = 0x7FF0000000000000
 // radix sort's buffers, sized once per descent.
 type rankSorter struct {
 	keys, tmp []uint64
-	count     [radixDigits][1 << radixBits]int
+	// count holds the per-digit histograms, then their prefix sums: none
+	// exceeds m, so uint32 is exact for m <= math.MaxUint32 (n <= 92,682
+	// points, 34 GB of distances) at half the 96 KB of int counts.
+	count [radixDigits][1 << radixBits]uint32
 }
 
 // newRankSorter returns the sorter for m distances: nil below
@@ -683,7 +686,7 @@ func (rs *rankSorter) radix(out, dist []float64) bool {
 	m := len(dist)
 	keys, tmp := rs.keys[:m], rs.tmp[:m]
 	count := &rs.count
-	*count = [radixDigits][1 << radixBits]int{}
+	*count = [radixDigits][1 << radixBits]uint32{}
 	for k, v := range dist {
 		b := math.Float64bits(v)
 		if b > maxOrderedBits {
@@ -701,10 +704,10 @@ func (rs *rankSorter) radix(out, dist []float64) bool {
 	for p := range count {
 		shift := p * radixBits
 		c := &count[p]
-		if c[src[0]>>shift&radixMask] == m {
+		if int(c[src[0]>>shift&radixMask]) == m {
 			continue // every key shares this digit: the pass is the identity
 		}
-		sum := 0
+		var sum uint32
 		for d, n := range c {
 			c[d] = sum
 			sum += n

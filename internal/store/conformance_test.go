@@ -17,7 +17,7 @@ import (
 // corruption eviction, promote-on-hit, peer fills) has its own tests.
 func TestBackendConformance(t *testing.T) {
 	tiered := func(t *testing.T) store.Backend {
-		b, err := store.Open(t.TempDir(), nil, 0)
+		b, err := store.Open(t.TempDir(), store.RawBytes{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +30,7 @@ func TestBackendConformance(t *testing.T) {
 	}{
 		{"memory", []string{"memory"}, func(*testing.T) store.Backend { return store.NewMemory(0) }},
 		{"disk", []string{"disk"}, func(t *testing.T) store.Backend {
-			d, err := store.NewDisk(t.TempDir(), nil)
+			d, err := store.NewDisk(t.TempDir(), store.RawBytes{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -39,7 +39,7 @@ func TestBackendConformance(t *testing.T) {
 		{"tiered", []string{"memory", "disk"}, tiered},
 		{"peer", []string{"memory", "disk"}, func(t *testing.T) store.Backend {
 			const self = "http://self:1"
-			p, err := cluster.New(cluster.Config{Self: self, Peers: []string{self}, Local: tiered(t)})
+			p, err := cluster.New(cluster.Config{Self: self, Peers: []string{self}, Local: tiered(t), Codec: store.RawBytes{}})
 			if err != nil {
 				t.Fatal(err)
 			}

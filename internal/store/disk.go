@@ -49,12 +49,9 @@ type Disk struct {
 // NewDisk opens (creating if needed) the cache directory and scrubs
 // invalid entries: zero-byte files, files too short to parse, and
 // files whose embedded checksum does not match their payload are
-// removed instead of ever being served. A nil codec defaults to
-// RawBytes.
+// removed instead of ever being served. codec translates values to
+// their file payloads.
 func NewDisk(dir string, codec Codec) (*Disk, error) {
-	if codec == nil {
-		codec = RawBytes{}
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: cache dir: %w", err)
 	}

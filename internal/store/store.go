@@ -109,11 +109,10 @@ func (RawBytes) Encode(v any) ([]byte, bool) {
 // Decode implements Codec.
 func (RawBytes) Decode(data []byte) (any, error) { return data, nil }
 
-// Open builds the backend for a -cache-dir flag, so every process —
-// coplotd and the batch CLIs alike — interprets it the same way: an
-// empty dir is a memory cache, any other is a memory tier over a disk
-// tier rooted at dir. memLimit caps the memory tier's resident bytes
-// (<=0 = unbounded). A nil codec defaults to RawBytes.
+// Open builds the backend for coplotd's -cache-dir flag: an empty dir
+// is a memory cache, any other is a memory tier over a disk tier
+// rooted at dir whose files codec writes and reads. memLimit caps the
+// memory tier's resident bytes (<=0 = unbounded).
 func Open(dir string, codec Codec, memLimit int64) (Backend, error) {
 	if dir == "" {
 		return NewMemory(memLimit), nil
@@ -129,8 +128,7 @@ func Open(dir string, codec Codec, memLimit int64) (Backend, error) {
 // the namespace, its canonicalized options, and the input blobs, each
 // length-prefixed so concatenations cannot collide. The result is
 // "namespace-" plus 32 hex digits — the serving layer keys responses
-// with it, and the CLIs key their rendered reports the same way so a
-// warm disk cache carries across invocations.
+// and corpus entries with it.
 func Key(namespace string, opts []string, blobs ...[]byte) string {
 	h := sha256.New()
 	put := func(b []byte) {

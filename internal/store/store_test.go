@@ -92,7 +92,7 @@ func TestMemoryRePutRefreshes(t *testing.T) {
 
 func TestDiskRoundTripAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	d, err := NewDisk(dir, nil)
+	d, err := NewDisk(dir, RawBytes{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestDiskRoundTripAndReopen(t *testing.T) {
 	}
 
 	// Reopen: the artifact must survive the "restart".
-	d2, err := NewDisk(dir, nil)
+	d2, err := NewDisk(dir, RawBytes{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestDiskRoundTripAndReopen(t *testing.T) {
 }
 
 func TestDiskSkipsNonEncodable(t *testing.T) {
-	d, err := NewDisk(t.TempDir(), nil)
+	d, err := NewDisk(t.TempDir(), RawBytes{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestDiskSkipsNonEncodable(t *testing.T) {
 // when the backend opens, not served.
 func TestDiskScrubsInvalidEntries(t *testing.T) {
 	dir := t.TempDir()
-	d, err := NewDisk(dir, nil)
+	d, err := NewDisk(dir, RawBytes{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestDiskScrubsInvalidEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := NewDisk(dir, nil)
+	d2, err := NewDisk(dir, RawBytes{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestDiskScrubsWrappedKeyLength(t *testing.T) {
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDisk(dir, nil)
+	d, err := NewDisk(dir, RawBytes{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestDiskScrubsWrappedKeyLength(t *testing.T) {
 
 func TestDiskEvictsCorruptionOnRead(t *testing.T) {
 	dir := t.TempDir()
-	d, err := NewDisk(dir, nil)
+	d, err := NewDisk(dir, RawBytes{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestDiskEvictsCorruptionOnRead(t *testing.T) {
 
 func TestTieredPromoteAndWriteThrough(t *testing.T) {
 	dir := t.TempDir()
-	disk, err := NewDisk(dir, nil)
+	disk, err := NewDisk(dir, RawBytes{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestTieredPromoteAndWriteThrough(t *testing.T) {
 }
 
 func TestTieredNonEncodableStaysInMemory(t *testing.T) {
-	disk, err := NewDisk(t.TempDir(), nil)
+	disk, err := NewDisk(t.TempDir(), RawBytes{})
 	if err != nil {
 		t.Fatal(err)
 	}
