@@ -47,7 +47,9 @@ const (
 
 // Entry is one corpus member: a workload reduced to its Table-1
 // variable vector. The raw log is not retained — the corpus indexes
-// what the Co-plot method actually consumes.
+// what the Co-plot method actually consumes. The serving layer also
+// stores nameless entries, outside the corpus, as the characterization
+// of one uploaded log under a "swfvars-" key.
 type Entry struct {
 	// ID is the entry's content-addressed store key ("corpus-" plus 32
 	// hex digits): a hash of the entry name, the machine description,
@@ -90,9 +92,10 @@ func FromVariables(id, source string, jobs int, v workload.Variables) *Entry {
 	return &Entry{ID: id, Name: v.Name, Source: source, Jobs: jobs, Vars: vars}
 }
 
-// variables converts the entry back to a workload row for table
-// assembly (NaN values flow through BuildTable's column-mean rule).
-func (e *Entry) variables() workload.Variables {
+// Variables converts the entry back to a workload row named e.Name,
+// for table assembly (NaN values flow through BuildTable's column-mean
+// rule).
+func (e *Entry) Variables() workload.Variables {
 	vals := make(map[string]float64, len(e.Vars))
 	for i, code := range workload.DatasetVars {
 		vals[code] = e.Vars[i]
@@ -386,7 +389,7 @@ func Match(ctx context.Context, entries []*Entry, query workload.Variables, opts
 	}
 	rows := make([]workload.Variables, 0, len(entries)+1)
 	for _, e := range entries {
-		rows = append(rows, e.variables())
+		rows = append(rows, e.Variables())
 	}
 	rows = append(rows, query)
 	tab, err := workload.BuildTable(rows, workload.DatasetVars)

@@ -45,14 +45,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) error {
 }
 
 // corpusAdmit maps POST /v1/corpus: the body is one SWF log, analyzed
-// under the machine options and admitted as an upload entry.
-// Re-admitting the same log under the same name and machine is
-// idempotent — the entry's ID is a content hash of exactly those
-// inputs.
+// under the machine options and admitted as an upload entry. Like
+// every request that reads a body and computes, it takes an admission
+// slot first (429 when none is free). Re-admitting the same log under
+// the same name and machine is idempotent — the entry's ID is a
+// content hash of exactly those inputs.
 func (s *Service) corpusAdmit(w http.ResponseWriter, r *http.Request, o *coplotclient.CorpusAdmitOptions) error {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		return errOverloaded
+	}
+	defer func() { <-s.sem }()
+	body, err := readBody(w, r)
 	if err != nil {
-		return classifyBody(err)
+		return err
 	}
 	m, err := cliMachine(o.Machine)
 	if err != nil {

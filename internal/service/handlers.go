@@ -20,9 +20,12 @@ import (
 
 	"coplot"
 	"coplot/internal/core"
+	"coplot/internal/corpus"
+	"coplot/internal/engine"
 	"coplot/internal/machine"
 	"coplot/internal/mds"
 	"coplot/internal/rng"
+	"coplot/internal/store"
 	"coplot/internal/swf"
 	"coplot/internal/validate"
 	"coplot/internal/workload"
@@ -50,9 +53,11 @@ type swfPart struct {
 func (s *Service) analyze(r *http.Request, body []byte, o *coplotclient.AnalyzeOptions) ([][]byte, func(context.Context) (*response, error), error) {
 	mt, params, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	if strings.HasPrefix(mt, "multipart/") {
-		// SWF mode. The parts are decoded before keying, so the cache
-		// key depends on the logs' names and bytes — not on the
-		// per-request multipart boundary.
+		// SWF mode. The parts are decoded (in place, over body) before
+		// keying, so the cache key depends on the logs' names and bytes
+		// — not on the per-request multipart boundary. Each log is
+		// characterized through logVars, so a log seen before under
+		// any name skips the parse and the characterization.
 		parts, err := parseMultipartLogs(body, params["boundary"])
 		if err != nil {
 			return nil, nil, err
@@ -68,15 +73,16 @@ func (s *Service) analyze(r *http.Request, body []byte, o *coplotclient.AnalyzeO
 			}
 			rows := make([]workload.Variables, len(parts))
 			for i, p := range parts {
-				log, err := swf.Parse(bytes.NewReader(p.data))
+				e, err := s.logVars(p.data, m)
+				var pe *engine.PanicError
+				if errors.As(err, &pe) {
+					return nil, err
+				}
 				if err != nil {
 					return nil, badRequest(fmt.Errorf("%s: %v", p.name, err))
 				}
-				row, err := workload.Compute(p.name, log, m)
-				if err != nil {
-					return nil, badRequest(fmt.Errorf("%s: %v", p.name, err))
-				}
-				rows[i] = row
+				rows[i] = e.Variables()
+				rows[i].Name = p.name
 			}
 			ds, err := DatasetFromVariables(rows)
 			if err != nil {
@@ -98,14 +104,74 @@ func (s *Service) analyze(r *http.Request, body []byte, o *coplotclient.AnalyzeO
 	return [][]byte{body}, run, nil
 }
 
+// errEmptyLog fails a part with no jobs. workload.Compute's own error
+// names the log, and a shared characterization must not carry the
+// name of whichever request computed it.
+var errEmptyLog = errors.New("empty log")
+
+// logVarsSize is the declared store residency of one per-log artifact:
+// the wire form of a nine-variable corpus.Entry is at most about this
+// long, and a constant spares an encode per characterized log.
+const logVarsSize = 400
+
+// logVars characterizes one SWF log on machine m through the parts
+// store, keyed by the machine and the log bytes alone: the same log
+// uploaded in another request, under any part name, is parsed and
+// characterized once. The artifact is a nameless corpus.Entry, so the
+// disk tier carries it in the corpus wire form (its "swfvars-" key
+// keeps it out of the corpus index). The error is bare — every caller,
+// a single-flight waiter included, names its own part — and a failure
+// is never stored.
+func (s *Service) logVars(data []byte, m machine.Machine) (*corpus.Entry, error) {
+	key := logVarsKey(data, m)
+	v, err := s.parts.DoSized(key, protected(key, func() (any, int64, error) {
+		log, err := swf.Parse(bytes.NewReader(data))
+		if err != nil {
+			return nil, 0, err
+		}
+		if len(log.Jobs) == 0 {
+			return nil, 0, errEmptyLog
+		}
+		row, err := workload.Compute("", log, m)
+		if err != nil {
+			return nil, 0, err
+		}
+		return corpus.FromVariables(key, "", len(log.Jobs), row), logVarsSize, nil
+	}))
+	if err != nil {
+		return nil, err
+	}
+	e, ok := v.(*corpus.Entry)
+	if !ok {
+		return nil, fmt.Errorf("artifact %s holds %T, not a characterized log", key, v)
+	}
+	return e, nil
+}
+
+// logVarsKey is the store key of log's characterization on machine m.
+func logVarsKey(log []byte, m machine.Machine) string {
+	return store.Key("swfvars", []string{
+		fmt.Sprintf("procs=%d", m.Procs),
+		fmt.Sprintf("sched=%d", m.Scheduler),
+		fmt.Sprintf("alloc=%d", m.Allocator),
+	}, log)
+}
+
 // parseMultipartLogs decodes an analyze request's multipart body into
-// named SWF blobs, in part order.
+// named SWF blobs, in part order. It decodes in place: the parts'
+// bytes are written back over body, which holds no multipart framing
+// afterwards, and each part's data aliases body. That is safe because
+// decoding never moves a byte forward — the byte written at offset j
+// comes from a body offset at or after j — and each Read below may
+// write only below the offset the multipart reader has consumed.
 func parseMultipartLogs(body []byte, boundary string) ([]swfPart, error) {
 	if boundary == "" {
 		return nil, badRequest(fmt.Errorf("multipart body without a boundary"))
 	}
-	mr := multipart.NewReader(bytes.NewReader(body), boundary)
+	src := bytes.NewReader(body)
+	mr := multipart.NewReader(src, boundary)
 	var parts []swfPart
+	w := 0 // bytes decoded so far, and the next write offset
 	for {
 		p, err := mr.NextPart()
 		if err == io.EOF {
@@ -114,15 +180,24 @@ func parseMultipartLogs(body []byte, boundary string) ([]swfPart, error) {
 		if err != nil {
 			return nil, badRequest(err)
 		}
-		data, err := io.ReadAll(p)
-		if err != nil {
-			return nil, badRequest(err)
+		start := w
+		for {
+			// The boundary line before the first part is consumed and
+			// never decoded, so the window is never empty.
+			n, err := p.Read(body[w : len(body)-src.Len()])
+			w += n
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, badRequest(err)
+			}
 		}
 		name := p.FileName()
 		if name == "" {
 			name = p.FormName()
 		}
-		parts = append(parts, swfPart{name: name, data: data})
+		parts = append(parts, swfPart{name: name, data: body[start:w:w]})
 	}
 	if len(parts) < 3 {
 		return nil, badRequest(fmt.Errorf("need at least 3 SWF logs, got %d", len(parts)))
@@ -140,6 +215,11 @@ func (s *Service) analyzeDataset(ctx context.Context, ds *core.Dataset, o *coplo
 		if err != nil {
 			return nil, badRequest(err)
 		}
+	}
+	// A dataset that fails validation (a non-finite CSV cell, say) is
+	// the caller's data, not a server fault.
+	if err := ds.Validate(); err != nil {
+		return nil, badRequest(err)
 	}
 	res, err := core.AnalyzeContext(ctx, ds, core.Options{
 		MDS:            mds.Options{Seed: o.Seed, Par: s.budget, Landmarks: o.Landmarks},

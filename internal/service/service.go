@@ -1,10 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"runtime/debug"
@@ -106,6 +106,7 @@ type Service struct {
 	cfg     Config
 	budget  *par.Budget
 	store   *engine.Store
+	parts   *engine.Store // per-log artifacts, on the local tier only
 	backend store.Backend
 	metrics *obs.Metrics
 	sink    obs.Sink
@@ -170,6 +171,10 @@ func New(cfg Config) (*Service, error) {
 	s.backend = backend
 	s.sink = obs.Multi(s.metrics, cfg.Sink)
 	s.store = engine.NewStore(backend, s.sink)
+	// Per-log characterizations stay on this replica's own tiers: one is
+	// cheap to recompute, while an analysis looks up one per uploaded
+	// log, and a lookup through the ring could wait on a hung peer.
+	s.parts = engine.NewStore(local, s.sink)
 	inflight := cfg.MaxInflight
 	if inflight <= 0 {
 		inflight = 2 * s.budget.Size()
@@ -305,6 +310,42 @@ func (responseCodec) Decode(data []byte) (any, error) {
 	return &response{contentType: w.ContentType, body: w.Body, extra: w.Extra}, nil
 }
 
+// bodyPrealloc caps what readBody reserves from a declared
+// Content-Length before any byte has arrived. It covers the bodies
+// measured in practice (an archive analysis is about 2 MB); a longer
+// body grows as it arrives, so a client that declares a length and
+// sends nothing makes the server hold at most this much.
+const bodyPrealloc = 4 << 20
+
+// readBody reads a request's body under the maxBodyBytes cap; a
+// failure comes back classified for the error envelope. A body that
+// declares a length up to bodyPrealloc is read into one buffer.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		buf.Grow(int(min(n, bodyPrealloc)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		return nil, classifyBody(err)
+	}
+	return buf.Bytes(), nil
+}
+
+// protected wraps a compute for Store.DoSized so that a panic comes
+// back as an *engine.PanicError: the flight then completes, the store
+// drops it like any failure, and its waiters wake instead of blocking
+// forever.
+func protected(key string, compute func() (any, int64, error)) func() (any, int64, error) {
+	return func() (v any, n int64, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = &engine.PanicError{Task: key, Value: r, Stack: debug.Stack()}
+			}
+		}()
+		return compute()
+	}
+}
+
 // handlerFunc parses one endpoint's request into its cache key and a
 // compute closure. Parse-stage errors (bad options, malformed
 // multipart) answer immediately; compute-stage errors flow through the
@@ -334,9 +375,9 @@ func (s *Service) endpoint(name string, h handlerFunc) http.Handler {
 			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 			defer cancel()
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		body, err := readBody(w, r)
 		if err != nil {
-			s.fail(w, name, classifyBody(err))
+			s.fail(w, name, err)
 			return
 		}
 		key, run, err := h(r, body)
@@ -359,12 +400,7 @@ func (s *Service) endpoint(name string, h handlerFunc) http.Handler {
 		start := time.Now()
 		obs.Emit(s.sink, obs.Event{Kind: obs.KindTaskStart, Name: name})
 		v, err := engine.Do(ctx, name, pol, s.cfg.AttemptTimeout, s.sink, func(ctx context.Context) (any, error) {
-			return s.store.DoSized(key, func() (v any, n int64, err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						err = &engine.PanicError{Task: key, Value: r, Stack: debug.Stack()}
-					}
-				}()
+			return s.store.DoSized(key, protected(key, func() (any, int64, error) {
 				computed = true
 				if s.testHook != nil {
 					if err := s.testHook(ctx, name); err != nil {
@@ -376,7 +412,7 @@ func (s *Service) endpoint(name string, h handlerFunc) http.Handler {
 					return nil, 0, err
 				}
 				return resp, resp.size(), nil
-			})
+			}))
 		})
 		done := obs.Event{Kind: obs.KindTaskFinish, Name: name, Elapsed: time.Since(start)}
 		if err != nil {

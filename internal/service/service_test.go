@@ -31,7 +31,7 @@ import (
 )
 
 // swfBody renders a deterministic synthetic log as SWF bytes.
-func swfBody(t *testing.T, seed uint64, n int) []byte {
+func swfBody(t testing.TB, seed uint64, n int) []byte {
 	t.Helper()
 	log := coplot.GenerateWorkload(coplot.Models(128)[4], seed, n)
 	var buf bytes.Buffer
@@ -356,12 +356,15 @@ func TestSaturationReturns429(t *testing.T) {
 	}()
 	<-enter // the slot is now held
 
-	resp, body := post(t, ts, "/v1/generate?model=downey&n=50", nil)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated status = %d (%s), want 429", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
+	// Every route that reads a body and computes takes a slot first.
+	for _, path := range []string{"/v1/generate?model=downey&n=50", "/v1/corpus?name=up", "/v1/stream/s/append"} {
+		resp, body := post(t, ts, path, nil)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s: saturated status = %d (%s), want 429", path, resp.StatusCode, body)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s: 429 without Retry-After", path)
+		}
 	}
 	close(release)
 	if code := <-done; code != http.StatusOK {
@@ -419,6 +422,7 @@ func TestBadInputsReturn400(t *testing.T) {
 		body string
 	}{
 		{"/v1/analyze", "not,a\nvalid,matrix\n"},
+		{"/v1/analyze", "name,x\na,NaN\nb,1\nc,2\n"}, // non-finite cell
 		{"/v1/generate?model=nope", ""},
 		{"/v1/generate", ""}, // missing model
 		{"/v1/scale-load?method=bogus&factor=2", ""},

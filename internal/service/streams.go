@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -73,9 +72,9 @@ func (s *Service) streamAppend(w http.ResponseWriter, r *http.Request, o *coplot
 	if err != nil {
 		return err
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readBody(w, r)
 	if err != nil {
-		return classifyBody(err)
+		return err
 	}
 	st, created, err := s.streams.GetOrCreate(r.PathValue("id"), cfg)
 	if err != nil {
