@@ -46,13 +46,23 @@ func alienationOf(diss []pair, dist []float64, budget *par.Budget) float64 {
 // alienationNaive is the direct transcription of equation (3): every
 // pair of pairs contributes (s_a−s_b)(d_a−d_b) to the numerator and
 // |s_a−s_b|·|d_a−d_b| to the denominator.
+// The dissimilarities are copied out of the pairs first, so the inner
+// loop walks two flat slices; the terms and their order are unchanged.
 func alienationNaive(diss []pair, dist []float64) float64 {
 	m := len(diss)
+	s := make([]float64, m)
+	for k, p := range diss {
+		s[k] = p.s
+	}
+	dist = dist[:m]
 	var num, den float64
 	for a := 0; a < m; a++ {
-		for b := a + 1; b < m; b++ {
-			ds := diss[a].s - diss[b].s
-			dd := dist[a] - dist[b]
+		sa, da := s[a], dist[a]
+		sb, db := s[a+1:], dist[a+1:]
+		db = db[:len(sb)]
+		for b, v := range sb {
+			ds := sa - v
+			dd := da - db[b]
 			num += ds * dd
 			den += math.Abs(ds) * math.Abs(dd)
 		}
@@ -102,19 +112,16 @@ func alienationFromMu(num, den float64) float64 {
 func alienationFast(diss []pair, dist []float64, budget *par.Budget) float64 {
 	m := len(diss)
 
-	// Mean-center both sequences.
+	// Mean-center both sequences. The centered values are recomputed
+	// where they are used, s_k = diss[k].s − meanS and d_k = dist[k] −
+	// meanD, rather than stored: the same subtraction gives the same
+	// bits every time.
 	var sumS, sumD float64
 	for k, p := range diss {
 		sumS += p.s
 		sumD += dist[k]
 	}
 	meanS, meanD := sumS/float64(m), sumD/float64(m)
-	s := make([]float64, m)
-	d := make([]float64, m)
-	for k, p := range diss {
-		s[k] = p.s - meanS
-		d[k] = dist[k] - meanD
-	}
 
 	// Numerator moments, blocked on the budget with a fixed partition.
 	nb := (m + alienMomentBlock - 1) / alienMomentBlock
@@ -128,9 +135,10 @@ func alienationFast(diss []pair, dist []float64, budget *par.Budget) float64 {
 		}
 		var mo moment
 		for k := lo; k < hi; k++ {
-			mo.ss += s[k]
-			mo.sd += d[k]
-			mo.ssd += s[k] * d[k]
+			sk, dk := diss[k].s-meanS, dist[k]-meanD
+			mo.ss += sk
+			mo.sd += dk
+			mo.ssd += sk * dk
 		}
 		moms[bi] = mo
 		return nil
@@ -143,81 +151,112 @@ func alienationFast(diss []pair, dist []float64, budget *par.Budget) float64 {
 	}
 	num := float64(m)*ssd - ss*sd
 
+	// The denominator's buffers, allocated once per call.
+	ascDist := make([]float64, m) // the kernel's sorted distances
+	ibuf := make([]uint32, 2*m)
+	byD, rank := ibuf[:m], ibuf[m:]
+	var order []uint32
+
 	// Denominator: visit pairs in ascending s (ties by original index).
 	// The solver passes its pairs in flattenPairs order, already
 	// ascending in s, so the visit order is the identity and the O(m)
 	// check replaces the sort; other callers get the sort.
-	order := make([]int, m)
-	for k := range order {
-		order[k] = k
+	sorted := true
+	for k := 1; k < m && sorted; k++ {
+		sorted = !cmp.Less(diss[k].s-meanS, diss[k-1].s-meanS)
 	}
-	if !slices.IsSorted(s) {
-		slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(s[a], s[b]), a-b) })
-	}
-
-	// Dense ranks of d (ties share a rank), 1-based for the trees.
-	byD := make([]int, m)
-	copy(byD, order)
-	slices.SortFunc(byD, func(a, b int) int { return cmp.Compare(d[a], d[b]) })
-	rank := make([]int, m)
-	r := 0
-	for i, k := range byD {
-		if i == 0 || d[k] != d[byD[i-1]] {
-			r++
+	if !sorted {
+		order = make([]uint32, m)
+		for k := range order {
+			order[k] = uint32(k)
 		}
-		rank[k] = r
+		slices.SortFunc(order, func(a, b uint32) int {
+			return cmp.Or(cmp.Compare(diss[a].s-meanS, diss[b].s-meanS), cmp.Compare(a, b))
+		})
 	}
 
-	cnt := newFenwick(r)
-	fd := newFenwick(r)
-	fs := newFenwick(r)
-	fsd := newFenwick(r)
+	// Dense ranks of d (ties share a rank), 1-based for the trees. The
+	// sort kernel orders the pairs by dist, and d = dist − meanD rounds
+	// monotonically, so that order is also ascending in d; equal d stay
+	// adjacent and the ranks, which depend only on d equality, are those
+	// of any sort by d. Distances outside the kernel's domain (NaN or
+	// negative), or whose mean is not finite (so d is not), rank
+	// through a comparison sort on d.
+	finite := !math.IsInf(meanD, 0) && !math.IsNaN(meanD)
+	ks := newDistSorter(m)
+	if !finite || !ks.sort(ascDist, byD, dist, nil) {
+		for k := range byD {
+			byD[k] = uint32(k)
+		}
+		copy(byD, order) // the visit order, as the tie order of NaN d
+		slices.SortFunc(byD, func(a, b uint32) int { return cmp.Compare(dist[a]-meanD, dist[b]-meanD) })
+	}
+	r := 0
+	prev := 0.0
+	for i, k := range byD {
+		if dk := dist[k] - meanD; i == 0 || dk != prev {
+			r++
+			prev = dk
+		}
+		rank[k] = uint32(r)
+	}
+
+	tree := make(fenwick, r+1)
 	var den float64
-	var totCnt, totD, totS, totSD float64
-	for _, k := range order {
-		sb, db, rb := s[k], d[k], rank[k]
-		cLE := cnt.sum(rb)
-		dLE := fd.sum(rb)
-		sLE := fs.sum(rb)
-		sdLE := fsd.sum(rb)
-		cGT := totCnt - cLE
-		dGT := totD - dLE
-		sGT := totS - sLE
-		sdGT := totSD - sdLE
+	var tot fenwickNode
+	for v := 0; v < m; v++ {
+		k := v
+		if order != nil {
+			k = int(order[v])
+		}
+		sb, db, rb := diss[k].s-meanS, dist[k]-meanD, int(rank[k])
+		le := tree.sum(rb)
+		cGT := tot.cnt - le.cnt
+		dGT := tot.d - le.d
+		sGT := tot.s - le.s
+		sdGT := tot.sd - le.sd
 		// A_b = Σ|d_b−d_a|: pairs at or below d_b contribute d_b−d_a,
 		// pairs above contribute d_a−d_b (ties land in the ≤ branch and
 		// contribute exactly zero either way).
-		ab := db*cLE - dLE + dGT - db*cGT
+		ab := db*le.cnt - le.d + dGT - db*cGT
 		// B_b = Σ s_a·|d_b−d_a|, split the same way.
-		bb := db*sLE - sdLE + sdGT - db*sGT
+		bb := db*le.s - le.sd + sdGT - db*sGT
 		den += sb*ab - bb
-		cnt.add(rb, 1)
-		fd.add(rb, db)
-		fs.add(rb, sb)
-		fsd.add(rb, sb*db)
-		totCnt++
-		totD += db
-		totS += sb
-		totSD += sb * db
+		sdb := sb * db
+		tree.add(rb, sb, db, sdb)
+		tot.cnt++
+		tot.d += db
+		tot.s += sb
+		tot.sd += sdb
 	}
 	return alienationFromMu(num, den)
 }
 
-// fenwick is a 1-based binary indexed tree over float64 prefix sums.
-type fenwick struct{ t []float64 }
+// fenwickNode holds one node of the four trees alienationFast queries
+// together: pair count, Σd, Σs and Σs·d below a rank.
+type fenwickNode struct{ cnt, d, s, sd float64 }
 
-func newFenwick(n int) *fenwick { return &fenwick{t: make([]float64, n+1)} }
+// fenwick is a 1-based binary indexed tree over the four prefix sums
+// at once; each sum takes the same additions in the same order as a
+// tree of its own would.
+type fenwick []fenwickNode
 
-func (f *fenwick) add(i int, v float64) {
-	for ; i < len(f.t); i += i & -i {
-		f.t[i] += v
+func (f fenwick) add(i int, s, d, sd float64) {
+	for ; i < len(f); i += i & -i {
+		f[i].cnt++
+		f[i].d += d
+		f[i].s += s
+		f[i].sd += sd
 	}
 }
 
-func (f *fenwick) sum(i int) float64 {
-	s := 0.0
+func (f fenwick) sum(i int) fenwickNode {
+	var n fenwickNode
 	for ; i > 0; i -= i & -i {
-		s += f.t[i]
+		n.cnt += f[i].cnt
+		n.d += f[i].d
+		n.s += f[i].s
+		n.sd += f[i].sd
 	}
-	return s
+	return n
 }

@@ -1,8 +1,10 @@
 package mds
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"coplot/internal/par"
@@ -118,3 +120,170 @@ func TestAlienationOfDispatch(t *testing.T) {
 		t.Fatalf("large input did not take the fast path: %v vs %v", got, want)
 	}
 }
+
+// alienationFastPdq is alienationFast as it was before the sort
+// kernel: stored centered sequences, d ranked by a pdqsort through
+// cmp.Compare, and four separate Fenwick trees. It is the oracle the
+// kernel-ranked version is held to bit for bit.
+func alienationFastPdq(diss []pair, dist []float64) float64 {
+	m := len(diss)
+	var sumS, sumD float64
+	for k, p := range diss {
+		sumS += p.s
+		sumD += dist[k]
+	}
+	meanS, meanD := sumS/float64(m), sumD/float64(m)
+	s := make([]float64, m)
+	d := make([]float64, m)
+	for k, p := range diss {
+		s[k] = p.s - meanS
+		d[k] = dist[k] - meanD
+	}
+	nb := (m + alienMomentBlock - 1) / alienMomentBlock
+	var ss, sd, ssd float64
+	for bi := 0; bi < nb; bi++ {
+		lo, hi := bi*alienMomentBlock, min((bi+1)*alienMomentBlock, m)
+		var bs, bd, bsd float64
+		for k := lo; k < hi; k++ {
+			bs += s[k]
+			bd += d[k]
+			bsd += s[k] * d[k]
+		}
+		ss += bs
+		sd += bd
+		ssd += bsd
+	}
+	num := float64(m)*ssd - ss*sd
+
+	order := make([]int, m)
+	for k := range order {
+		order[k] = k
+	}
+	if !slices.IsSorted(s) {
+		slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(s[a], s[b]), a-b) })
+	}
+	byD := make([]int, m)
+	copy(byD, order)
+	slices.SortFunc(byD, func(a, b int) int { return cmp.Compare(d[a], d[b]) })
+	rank := make([]int, m)
+	r := 0
+	for i, k := range byD {
+		if i == 0 || d[k] != d[byD[i-1]] {
+			r++
+		}
+		rank[k] = r
+	}
+	tree := func() []float64 { return make([]float64, r+1) }
+	add := func(t []float64, i int, v float64) {
+		for ; i < len(t); i += i & -i {
+			t[i] += v
+		}
+	}
+	sum := func(t []float64, i int) float64 {
+		s := 0.0
+		for ; i > 0; i -= i & -i {
+			s += t[i]
+		}
+		return s
+	}
+	cnt, fd, fs, fsd := tree(), tree(), tree(), tree()
+	var den, totCnt, totD, totS, totSD float64
+	for _, k := range order {
+		sb, db, rb := s[k], d[k], rank[k]
+		cLE, dLE, sLE, sdLE := sum(cnt, rb), sum(fd, rb), sum(fs, rb), sum(fsd, rb)
+		cGT, dGT, sGT, sdGT := totCnt-cLE, totD-dLE, totS-sLE, totSD-sdLE
+		ab := db*cLE - dLE + dGT - db*cGT
+		bb := db*sLE - sdLE + sdGT - db*sGT
+		den += sb*ab - bb
+		add(cnt, rb, 1)
+		add(fd, rb, db)
+		add(fs, rb, sb)
+		add(fsd, rb, sb*db)
+		totCnt++
+		totD += db
+		totS += sb
+		totSD += sb * db
+	}
+	return alienationFromMu(num, den)
+}
+
+// TestAlienationFastMatchesPdqOracle holds alienationFast bit for bit
+// to its pdqsort-ranked predecessor, just past the naive cutoff (8,193
+// pairs) and at a 251-point solve's 31,375: on continuous distances,
+// on distances drawn from a few tied levels, on pairs in the solver's
+// ascending-s order and in arbitrary order, and on distances holding a
+// NaN or +Inf (the comparison fallback).
+func TestAlienationFastMatchesPdqOracle(t *testing.T) {
+	dists := map[string]func(r *rng.Source, k int, s float64) float64{
+		"continuous": func(r *rng.Source, k int, s float64) float64 { return 0.3*s + 2*r.Float64() },
+		"tied":       func(r *rng.Source, k int, s float64) float64 { return float64(r.Intn(6)) },
+		"mixed": func(r *rng.Source, k int, s float64) float64 {
+			if r.Intn(3) == 0 {
+				return math.Round(s*4) / 4
+			}
+			return s + r.Float64()
+		},
+		"nan": func(r *rng.Source, k int, s float64) float64 {
+			if k%1001 == 17 {
+				return math.NaN()
+			}
+			return s * r.Float64()
+		},
+		"inf": func(r *rng.Source, k int, s float64) float64 {
+			if k%1001 == 17 {
+				return math.Inf(1)
+			}
+			return s * r.Float64()
+		},
+	}
+	for name, gen := range dists {
+		for _, m := range []int{alienationNaiveMaxPairs + 1, 31375} {
+			for _, ascending := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%s/m%d/ascending=%v", name, m, ascending), func(t *testing.T) {
+					r := rng.New(uint64(m))
+					diss := make([]pair, m)
+					dist := make([]float64, m)
+					for k := range diss {
+						diss[k] = pair{i: k, j: k + 1, s: math.Round(40*r.Float64()) / 8}
+					}
+					if ascending {
+						slices.SortStableFunc(diss, func(a, b pair) int { return cmp.Compare(a.s, b.s) })
+					}
+					for k := range dist {
+						dist[k] = gen(r, k, diss[k].s)
+					}
+					got, want := alienationFast(diss, dist, nil), alienationFastPdq(diss, dist)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("Θ = %.17g (%#x), oracle %.17g (%#x)", got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkAlienationFast times the exact Θ of a landmark-scale solve:
+// the 31,375 pairs of the 251-point city-block matrix against the
+// distances of its classical-scaling configuration, in the solver's
+// ascending-s pair order.
+func BenchmarkAlienationFast(b *testing.B) {
+	d := landmarkPinnedDissim(b)
+	x, err := Classical(d, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	diss := flattenPairs(d)
+	dist := make([]float64, len(diss))
+	for k, p := range diss {
+		dx, dy := x.At(p.i, 0)-x.At(p.j, 0), x.At(p.i, 1)-x.At(p.j, 1)
+		dist[k] = math.Sqrt(dx*dx + dy*dy)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchTheta = alienationFast(diss, dist, nil)
+	}
+}
+
+// benchTheta keeps BenchmarkAlienationFast's result live.
+var benchTheta float64

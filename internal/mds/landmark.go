@@ -161,11 +161,15 @@ func landmarkSSA(ctx context.Context, d *mat.Matrix, diss []pair, k int, opts Op
 	// (distance-to-landmark least squares) refined by a few SMACOF-style
 	// majorization steps against the fixed landmarks. Each point is its
 	// own subproblem, so the fan-out is embarrassingly parallel and
-	// deterministic at any worker count.
+	// deterministic at any worker count. Each block of points shares one
+	// scratch buffer, so placement allocates per worker, not per point.
 	tri := newTriangulator(y, dl)
 	scale := RMSRadius(y)
-	_ = par.ForEach(ctx, opts.Par, len(rest), func(pi int) error {
-		placePoint(x, rest[pi], d, idx, y, tri, scale)
+	_ = par.ForEachBlock(ctx, opts.Par, len(rest), 1, func(lo, hi int) error {
+		buf := newPlacement(len(idx), dims)
+		for _, i := range rest[lo:hi] {
+			placePoint(x, i, d, idx, y, tri, scale, buf)
+		}
 		return nil
 	})
 	if err := ctx.Err(); err != nil {
@@ -238,18 +242,20 @@ func newTriangulator(y *mat.Matrix, dl *mat.Matrix) *triangulator {
 }
 
 // guess writes the triangulation estimate for a point with landmark
-// dissimilarities delta into pos; false means the landmark frame was
-// rank-deficient (collinear landmarks) and pos is untouched.
-func (t *triangulator) guess(pos []float64, y *mat.Matrix, delta []float64) bool {
+// dissimilarities delta into pos, using g (len dims) as scratch; false
+// means the landmark frame was rank-deficient (collinear landmarks) and
+// pos is untouched.
+func (t *triangulator) guess(pos, g []float64, y *mat.Matrix, delta []float64) bool {
 	if !t.ok {
 		return false
 	}
-	k, dims := y.Rows, y.Cols
-	g := make([]float64, dims)
-	for l := 0; l < k; l++ {
-		v := delta[l]*delta[l] - t.meanSq[l]
-		for c := 0; c < dims; c++ {
-			g[c] += y.At(l, c) * v
+	dims := y.Cols
+	clear(g)
+	for l, dl := range delta {
+		v := dl*dl - t.meanSq[l]
+		yl := y.Data[l*dims : l*dims+dims]
+		for c := range g {
+			g[c] += yl[c] * v
 		}
 	}
 	for c := 0; c < dims; c++ {
@@ -310,52 +316,58 @@ func invertSmall(a []float64, n int) ([]float64, bool) {
 	return inv, true
 }
 
+// placement is one worker's placePoint scratch: the point's landmark
+// dissimilarities, its position, the majorization accumulator and the
+// triangulation's right-hand side.
+type placement struct{ delta, pos, acc, g []float64 }
+
+func newPlacement(k, dims int) placement {
+	buf := make([]float64, k+3*dims)
+	return placement{delta: buf[:k], pos: buf[k : k+dims], acc: buf[k+dims : k+2*dims], g: buf[k+2*dims:]}
+}
+
 // placePoint positions observation i against the fixed landmark frame:
 // triangulation guess (nearest landmark when the frame is degenerate),
 // then SMACOF-style majorization of the point's own stress —
 // pos ← (1/k)·Σ_l [ y_l + δ_l·(pos−y_l)/‖pos−y_l‖ ] — which is the
 // single-point Guttman transform with every landmark held fixed.
-func placePoint(x *mat.Matrix, i int, d *mat.Matrix, idx []int, y *mat.Matrix, tri *triangulator, scale float64) {
+func placePoint(x *mat.Matrix, i int, d *mat.Matrix, idx []int, y *mat.Matrix, tri *triangulator, scale float64, buf placement) {
 	k, dims := y.Rows, y.Cols
-	delta := make([]float64, k)
+	yd := y.Data
+	delta, pos, acc := buf.delta, buf.pos, buf.acc
 	for l, j := range idx {
 		delta[l] = d.At(i, j)
 	}
-	pos := make([]float64, dims)
-	if !tri.guess(pos, y, delta) {
+	if !tri.guess(pos, buf.g, y, delta) {
 		near, nearD := 0, math.Inf(1)
 		for l := range delta {
 			if delta[l] < nearD {
 				near, nearD = l, delta[l]
 			}
 		}
-		for c := 0; c < dims; c++ {
-			pos[c] = y.At(near, c)
-		}
+		copy(pos, yd[near*dims:near*dims+dims])
 	}
-	acc := make([]float64, dims)
 	tol2 := placementRelTol * placementRelTol * scale * scale
 	for t := 0; t < placementMaxIter; t++ {
-		for c := range acc {
-			acc[c] = 0
-		}
+		clear(acc)
 		for l := 0; l < k; l++ {
+			yl := yd[l*dims : l*dims+dims]
 			r := 0.0
-			for c := 0; c < dims; c++ {
-				df := pos[c] - y.At(l, c)
+			for c, p := range pos {
+				df := p - yl[c]
 				r += df * df
 			}
 			r = math.Sqrt(r)
 			if r > 1e-12 {
 				f := delta[l] / r
-				for c := 0; c < dims; c++ {
-					acc[c] += y.At(l, c) + f*(pos[c]-y.At(l, c))
+				for c, p := range pos {
+					acc[c] += yl[c] + f*(p-yl[c])
 				}
 			} else {
 				// Coincident with a landmark: that landmark exerts no
 				// directional pull this step.
-				for c := 0; c < dims; c++ {
-					acc[c] += y.At(l, c)
+				for c, v := range yl {
+					acc[c] += v
 				}
 			}
 		}
@@ -371,7 +383,5 @@ func placePoint(x *mat.Matrix, i int, d *mat.Matrix, idx []int, y *mat.Matrix, t
 			break
 		}
 	}
-	for c := 0; c < dims; c++ {
-		x.Set(i, c, pos[c])
-	}
+	copy(x.Data[i*dims:i*dims+dims], pos)
 }

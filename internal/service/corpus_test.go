@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"coplot"
 	"coplot/internal/machine"
 	"coplot/internal/models"
 	"coplot/internal/rng"
@@ -434,6 +435,48 @@ func TestMatchBytesPinned(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != tc.want {
 			t.Errorf("match%s: sha256 %s, want %s", coplotclient.Query(tc.opts), got, tc.want)
 		}
+	}
+}
+
+// TestMatchBytesPinnedLandmark251 pins one /v1/match body against a
+// 250-entry corpus (the 15 seeds and 235 uploads), the shape of a
+// served match at scale: its 251-observation joint table at
+// landmarks=50 takes the landmark solve, the rank image's bulk sort
+// and alienation's fast path, none of which the 16-observation pins
+// above reach. The digest is amd64's.
+func TestMatchBytesPinnedLandmark251(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digest is pinned on amd64, not %s", runtime.GOARCH)
+	}
+	c := corpusClient(t, Config{Jobs: 1})
+	ctx := context.Background()
+	all := coplot.Models(128)
+	for i := 0; i < 235; i++ {
+		var buf bytes.Buffer
+		log := coplot.GenerateWorkload(all[i%len(all)], uint64(100+i), 60+i%7*20)
+		if err := swf.Write(&buf, log); err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("up%03d", i)
+		if _, _, err := c.CorpusAdmit(ctx, buf.Bytes(), coplotclient.CorpusAdmitOptions{Name: name}); err != nil {
+			t.Fatalf("admit %s: %v", name, err)
+		}
+	}
+	body, _, err := c.MatchRaw(ctx, feitelson96Probe(t), coplotclient.MatchOptions{Landmarks: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res coplotclient.MatchResult
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.CorpusSize != 250 {
+		t.Fatalf("corpus size %d, want 250", res.CorpusSize)
+	}
+	sum := sha256.Sum256(body)
+	const want = "02e89b952e8db53561ad96a5544fb88a3ef9b01de6fa2548c9156ff7cf85c542"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("match?landmarks=50 over 250 entries: sha256 %s, want %s", got, want)
 	}
 }
 
