@@ -17,11 +17,9 @@
 // -timeout caps the per-file time, and the same budget drives the
 // analysis kernels (the SSA multi-start fan-out and the dissimilarity
 // row blocks). The resulting dataset and map are identical at any
-// -jobs setting. -retries re-attempts a failing file with
-// deterministic backoff, -backoff sets its base delay, -task-timeout
-// bounds each attempt, and -keep-going drops unreadable logs (with a
-// warning and a non-zero exit) instead of aborting, as long as at
-// least 3 logs survive.
+// -jobs setting. -keep-going drops unreadable logs (with a warning and
+// a non-zero exit) instead of aborting, as long as at least 3 logs
+// survive.
 //
 // -landmarks N embeds a sample of N observations exactly and places
 // the rest against it (landmark MDS) when the dataset is larger than

@@ -47,8 +47,7 @@
 //
 //	coplotd [-addr HOST:PORT] [-jobs N] [-max-inflight N] [-cache-bytes N]
 //	        [-cache-dir DIR]
-//	        [-request-timeout D] [-task-timeout D] [-retries N] [-backoff D]
-//	        [-drain D] [-trace FILE] [-manifest FILE]
+//	        [-request-timeout D] [-drain D] [-trace FILE] [-manifest FILE]
 //	        [-peers URL,URL,...] [-self URL]
 //	        [-peer-timeout D] [-peer-retries N]
 //	        [-max-streams N] [-landmarks N] [-corpus-jobs N]
@@ -137,10 +136,7 @@ func realMain() int {
 	maxInflight := flag.Int("max-inflight", 0, "concurrent requests admitted; excess get 429 (0 = 2x the worker budget)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "response-cache byte cap, LRU-evicted past it (0 = 256 MiB, negative = unbounded)")
 	cacheDir := flag.String("cache-dir", "", "durable response-cache directory; cached responses survive restarts (empty = memory only)")
-	requestTimeout := flag.Duration("request-timeout", 0, "per-request time limit across all attempts (0 = none)")
-	taskTimeout := flag.Duration("task-timeout", 0, "per-attempt time limit; a timed-out attempt is retried under -retries (0 = none)")
-	retries := flag.Int("retries", 0, "retry a transiently failing request up to N more times (0 = fail on first error)")
-	backoff := flag.Duration("backoff", 0, "base delay before the first retry, doubling per retry (0 = engine default)")
+	requestTimeout := flag.Duration("request-timeout", 0, "per-request time limit (0 = none)")
 	drain := flag.Duration("drain", 30*time.Second, "how long shutdown waits for in-flight requests (0 = no limit)")
 	peers := flag.String("peers", "", "comma-separated base URLs of every cluster replica, including this one (empty = single replica)")
 	self := flag.String("self", "", "this replica's own base URL as peers reach it; required with -peers")
@@ -186,9 +182,6 @@ func realMain() int {
 		CacheBytes:     *cacheBytes,
 		CacheDir:       *cacheDir,
 		RequestTimeout: *requestTimeout,
-		AttemptTimeout: *taskTimeout,
-		Retries:        *retries,
-		Backoff:        *backoff,
 		Peers:          splitPeers(*peers),
 		Self:           *self,
 		PeerTimeout:    *peerTimeout,

@@ -3,8 +3,7 @@
 // Usage:
 //
 //	experiments [-run NAME[,NAME...]|all] [-out DIR] [-seed N]
-//	            [-jobs N] [-timeout D] [-task-timeout D]
-//	            [-retries N] [-backoff D] [-keep-going]
+//	            [-jobs N] [-timeout D] [-keep-going]
 //	            [-sitejobs N] [-modeljobs N] [-periodjobs N]
 //	            [-manifest FILE] [-trace FILE] [-inject SPEC]
 //	            [-cpuprofile FILE] [-memprofile FILE] [-pprof ADDR]
@@ -27,16 +26,13 @@
 // logs, workload tables) are computed once per invocation, and outputs
 // are byte-identical at any -jobs setting.
 //
-// Fault tolerance: -retries re-attempts a failing experiment with
-// exponential backoff (-backoff sets the base delay; the jitter is
-// derived deterministically from the seed), -task-timeout bounds each
-// attempt (a timed-out attempt is retried; -timeout remains the hard
-// per-experiment ceiling), panics inside an experiment become typed
+// Fault tolerance: every experiment runs once. -timeout caps each
+// one's wall-clock time, panics inside an experiment become typed
 // task errors, and -keep-going turns a failure into degradation: the
 // failed experiment is recorded, its dependents are skipped, every
 // independent experiment completes, and the process exits non-zero with
 // a failure summary in the manifest. -inject deterministically injects
-// faults ('fig1=error:2,table3=panic') to test those paths.
+// faults ('fig1=error,table3=panic') to test those paths.
 //
 // Every run is observed: -manifest (default out/manifest.json, "" to
 // disable) records a JSON run manifest — per-experiment wall time,
@@ -84,7 +80,7 @@ func run(args []string, stdout io.Writer) error {
 	runName := fs.String("run", "all", "experiments to run: 'all' or a comma-separated list of names")
 	out := fs.String("out", "", "directory for .txt/.svg artifacts (optional)")
 	seed := fs.Uint64("seed", 0, "master seed (0 = paper default)")
-	inject := fs.String("inject", "", "fault-injection schedule 'target=error|panic|hang[:times],...' (testing)")
+	inject := fs.String("inject", "", "fault-injection schedule 'target=error|panic|hang,...' (testing)")
 	siteJobs := fs.Int("sitejobs", 0, "jobs per production-site log (0 = default)")
 	modelJobs := fs.Int("modeljobs", 0, "jobs per synthetic-model log (0 = default)")
 	periodJobs := fs.Int("periodjobs", 0, "jobs per half-year period log (0 = default)")

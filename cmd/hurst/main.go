@@ -5,8 +5,7 @@
 //
 // Usage:
 //
-//	hurst [-svgdir DIR] [-jobs N] [-timeout D]
-//	      [-retries N] [-backoff D] [-task-timeout D] [-keep-going=BOOL]
+//	hurst [-svgdir DIR] [-jobs N] [-timeout D] [-keep-going=BOOL]
 //	      FILE.swf...
 //
 // Files are estimated in parallel, one engine.Map task per file, under
@@ -16,9 +15,7 @@
 // compute parallelism stays bounded; reports print in argument order
 // and — by default (-keep-going=true) — a failing file does not stop
 // the others; -keep-going=false makes the first failure cancel the
-// batch. -retries re-attempts a failing file with deterministic
-// backoff (-backoff sets its base delay) and -task-timeout bounds each
-// attempt.
+// batch.
 // With -svgdir, the three diagnostic plots (pox plot, variance-time
 // plot, periodogram) of each series are written as SVG files.
 //
@@ -114,8 +111,8 @@ type report struct {
 
 // estimateAll runs estimate over the files through engine.Map and
 // returns the reports in argument order. Failures surface through the
-// engine — so they are retried under opts.Retry and, with
-// opts.KeepGoing, degrade instead of cancelling the batch — and come
+// engine — so with opts.KeepGoing they degrade instead of cancelling
+// the batch — and come
 // back inside the per-file reports: a file that was estimated keeps
 // its report even when another file fails the batch, a file that
 // failed or was cancelled carries its own error, and a file that never
@@ -130,7 +127,7 @@ func estimateAll(paths []string, svgDir string, opts engine.Options) []report {
 		func(ctx context.Context, i int) (struct{}, error) {
 			text, err := estimate(ctx, paths[i], svgDir, budget)
 			if err == nil {
-				err = ctx.Err() // the engine fails an attempt that outlived its context
+				err = ctx.Err() // the engine fails a task that outlived its context
 			}
 			out[i], ran[i] = report{text: text, err: err}, true
 			return struct{}{}, err

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"coplot/internal/doccheck"
 	"coplot/internal/engine"
@@ -95,8 +94,10 @@ func TestEstimateAllContinuesPastErrors(t *testing.T) {
 	}
 }
 
-// finishSink closes done once n tasks have finished.
+// finishSink closes done once n tasks have finished, and holds the
+// task.start of the task named hold until then.
 type finishSink struct {
+	hold string
 	mu   sync.Mutex
 	n    int
 	done chan struct{}
@@ -104,37 +105,29 @@ type finishSink struct {
 
 // Event implements obs.Sink.
 func (s *finishSink) Event(e obs.Event) {
-	if e.Kind != obs.KindTaskFinish {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n--; s.n == 0 {
-		close(s.done)
+	switch {
+	case e.Kind == obs.KindTaskStart && e.Name == s.hold:
+		<-s.done
+	case e.Kind == obs.KindTaskFinish:
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.n--; s.n == 0 {
+			close(s.done)
+		}
 	}
 }
 
 // TestEstimateAllFailFastKeepsCompletedReports: with KeepGoing off the
 // first failure cancels the batch, but files that were estimated keep
 // their reports and only the failing file carries an error. The
-// missing file's retry waits until the three good files have finished,
+// missing file's start waits until the three good files have finished,
 // so they are done before the failure cancels the batch.
 func TestEstimateAllFailFastKeepsCompletedReports(t *testing.T) {
 	good := writeTestLog(t)
 	missing := filepath.Join(t.TempDir(), "none.swf")
 	paths := []string{good, good, missing, good}
-	sink := &finishSink{n: 3, done: make(chan struct{})}
-	opts := engine.Options{Jobs: len(paths), Sink: sink, Retry: engine.RetryPolicy{
-		MaxAttempts: 2,
-		Sleep: func(ctx context.Context, _ time.Duration) error {
-			select {
-			case <-sink.done:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		},
-	}}
+	sink := &finishSink{hold: missing, n: 3, done: make(chan struct{})}
+	opts := engine.Options{Jobs: len(paths), Sink: sink}
 	reports := estimateAll(paths, "", opts)
 	want, err := estimate(context.Background(), good, "", par.NewBudget(1))
 	if err != nil {

@@ -37,7 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"coplot/internal/engine"
+	"coplot/internal/rng"
 	"coplot/internal/store"
 )
 
@@ -53,6 +53,28 @@ const (
 // jitterSeed drives the deterministic retry-backoff jitter of peer
 // operations.
 const jitterSeed = 7
+
+// Bounds of the retry backoff between peer attempts.
+const (
+	baseBackoff = 10 * time.Millisecond
+	maxBackoff  = 2 * time.Second
+)
+
+// backoff returns the delay before retrying the peer operation named
+// key after its failed attempt (1-based): baseBackoff·2^(attempt-1),
+// capped at maxBackoff, scaled by a deterministic equal-jitter factor
+// in [0.5, 1.0) derived from (jitterSeed, key, attempt).
+func backoff(key string, attempt int) time.Duration {
+	d := baseBackoff
+	for i := 1; i < attempt && d < maxBackoff; i++ {
+		d *= 2
+	}
+	if d > maxBackoff {
+		d = maxBackoff
+	}
+	u := rng.New(rng.Derive(jitterSeed, fmt.Sprintf("backoff:%s#%d", key, attempt))).Float64()
+	return time.Duration((0.5 + 0.5*u) * float64(d))
+}
 
 // ArtifactPathPrefix is the URL prefix of the peer-fill protocol; the
 // key follows it. The serving layer mounts the Handler at
@@ -83,8 +105,8 @@ type Config struct {
 	// DefaultTimeout.
 	Timeout time.Duration
 	// Retries is how many extra attempts follow a failed peer fetch or
-	// back-fill (0 = single attempt). Retries are spaced by the PR-3
-	// seed-deterministic exponential backoff.
+	// back-fill (0 = single attempt). Retries are spaced by a
+	// deterministic exponential backoff with seeded jitter.
 	Retries int
 	// Local is the backend peers fill into and back-fills are read
 	// from — typically the Tiered memory-over-disk backend. Required.
@@ -106,7 +128,6 @@ type Peer struct {
 	client   *http.Client
 	timeout  time.Duration
 	attempts int
-	pol      engine.RetryPolicy
 
 	order []string              // peer URLs (excluding self), sorted
 	stats map[string]*peerStats // keyed by peer URL
@@ -152,7 +173,6 @@ func New(cfg Config) (*Peer, error) {
 		client:   &http.Client{},
 		timeout:  cfg.Timeout,
 		attempts: cfg.Retries + 1,
-		pol:      engine.RetryPolicy{Seed: jitterSeed},
 		stats:    map[string]*peerStats{},
 	}
 	if p.timeout <= 0 {
@@ -259,7 +279,7 @@ func (p *Peer) fetch(owner, key string) (any, int64, bool) {
 	st := p.stats[owner]
 	for attempt := 1; attempt <= p.attempts; attempt++ {
 		if attempt > 1 {
-			time.Sleep(p.pol.Backoff("peer-fetch:"+key, attempt-1))
+			time.Sleep(backoff("peer-fetch:"+key, attempt-1))
 		}
 		v, size, found, err := p.fetchOnce(owner, key)
 		if err != nil {
@@ -332,7 +352,7 @@ func (p *Peer) backfill(owner, key string, val any) {
 	hexSum := hex.EncodeToString(sum[:])
 	for attempt := 1; attempt <= p.attempts; attempt++ {
 		if attempt > 1 {
-			time.Sleep(p.pol.Backoff("peer-fill:"+key, attempt-1))
+			time.Sleep(backoff("peer-fill:"+key, attempt-1))
 		}
 		if err := p.putOnce(owner, key, data, hexSum); err != nil {
 			st.errors.Add(1)

@@ -217,9 +217,6 @@ func (l LogNormal) Sample(r *rng.Source) float64 {
 	return math.Exp(l.Mu + l.Sigma*r.Norm())
 }
 
-// Median returns exp(Mu).
-func (l LogNormal) Median() float64 { return math.Exp(l.Mu) }
-
 // Quantile returns the p-quantile.
 func (l LogNormal) Quantile(p float64) float64 {
 	return math.Exp(l.Mu + l.Sigma*NormQuantile(p))
@@ -253,9 +250,6 @@ type LogUniform struct{ Lo, Hi float64 }
 func (l LogUniform) Sample(r *rng.Source) float64 {
 	return math.Exp(math.Log(l.Lo) + (math.Log(l.Hi)-math.Log(l.Lo))*r.Float64())
 }
-
-// Median returns the distribution median, sqrt(Lo*Hi).
-func (l LogUniform) Median() float64 { return math.Sqrt(l.Lo * l.Hi) }
 
 // Zipf draws integers in [1, N] with probability proportional to
 // 1/rank^S. Used for repeated-execution counts in the Feitelson models.

@@ -39,10 +39,9 @@ var keptUnreferenced = map[string]string{
 // non-test file selects by name but that stay on purpose, each with the
 // reason. Keys are "importpath.Type.Method".
 var keptUnselected = map[string]string{
-	"coplot/internal/faultinject.Schedule.Count": "the engine and fault-injection tests assert how often a schedule fired",
-	"coplot/internal/mat.Matrix.MulVec":          "the Solve and EigenSym tests check A·x = b and A·v = λv with it",
-	"coplot/internal/obs.Manifest.Stable":        "the manifest-determinism tests' normalizer: it strips the wall-clock fields",
-	"coplot/internal/swf.Log.ShiftTime":          "splices logs end to end for the homogeneity audit's regime-change test",
+	"coplot/internal/mat.Matrix.MulVec":   "the Solve and EigenSym tests check A·x = b and A·v = λv with it",
+	"coplot/internal/obs.Manifest.Stable": "the manifest-determinism tests' normalizer: it strips the wall-clock fields",
+	"coplot/internal/swf.Log.ShiftTime":   "splices logs end to end for the homogeneity audit's regime-change test",
 }
 
 // interfaceMethods are the method names declared under internal/ that
@@ -227,24 +226,69 @@ func receiverType(fd *ast.FuncDecl) string {
 	return "?"
 }
 
+// methodSelections collects the names the files select as methods or
+// fields: x.Name, on any x except an identifier naming one of the
+// file's imports (its import name, or the last element of its path),
+// which is a package-qualified identifier such as sort.Stable.
+func methodSelections(files []goFile) map[string]bool {
+	selected := map[string]bool{}
+	for _, gf := range files {
+		imports := map[string]bool{}
+		for _, imp := range gf.file.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			imports[path.Base(p)] = true
+			if imp.Name != nil {
+				imports[imp.Name.Name] = true
+			}
+		}
+		ast.Inspect(gf.file, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); !ok || !imports[x.Name] {
+					selected[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	return selected
+}
+
+// TestMethodSelectionsSkipPackageQualifiers: in a file that imports
+// sort, sort.Stable(x) selects no method, while m.Stable() does.
+func TestMethodSelectionsSkipPackageQualifiers(t *testing.T) {
+	parse := func(src string) []goFile {
+		f, err := parser.ParseFile(token.NewFileSet(), "x.go", src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []goFile{{pkg: "x", file: f}}
+	}
+	const head = "package x\n\nimport (\n\t\"sort\"\n\tst \"strings\"\n)\n\n"
+	got := methodSelections(parse(head + "func f(x sort.Interface, m M) {\n\tsort.Stable(x)\n\t_ = st.ToUpper(\"a\")\n\tm.Stable()\n}\n"))
+	if !got["Stable"] {
+		t.Error("m.Stable() is not counted as a method selection")
+	}
+	for _, name := range []string{"Interface", "ToUpper"} {
+		if got[name] {
+			t.Errorf("a package-qualified %s is counted as a method selection", name)
+		}
+	}
+	if got := methodSelections(parse(head + "func f(x sort.Interface) {\n\tsort.Stable(x)\n\t_ = st.ToUpper(\"a\")\n}\n")); got["Stable"] {
+		t.Error("sort.Stable(x) alone is counted as a method selection")
+	}
+}
+
 // TestNoDeadExportedMethods fails on any exported method under
 // internal/ whose name no non-test file of the repository (the module
-// and bench/coplotbench) selects — x.Name, on any x — unless the
+// and bench/coplotbench) selects — x.Name, on any x but an imported
+// package's name (methodSelections) — unless the
 // standard library calls it through an interface (interfaceMethods) or
 // keptUnselected names it. The check is by name, so it misses a dead
 // method that shares its name with a live one; what it finds is surely
 // dead.
 func TestNoDeadExportedMethods(t *testing.T) {
 	files, module := moduleFiles(t)
-	selected := map[string]bool{}
-	for _, gf := range files {
-		ast.Inspect(gf.file, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				selected[sel.Sel.Name] = true
-			}
-			return true
-		})
-	}
+	selected := methodSelections(files)
 
 	var dead []string
 	declared := 0

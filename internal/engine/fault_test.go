@@ -1,7 +1,7 @@
 package engine_test
 
 // Fault-tolerance suite: drives the runner and Map through every
-// retry/give-up/degradation path with the deterministic faultinject
+// panic/hang/degradation path with the deterministic faultinject
 // harness, and pins the regression that a sibling's cancellation ripple
 // must never mask the genuine first error.
 
@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,10 +18,6 @@ import (
 	"coplot/internal/faultinject"
 	"coplot/internal/obs"
 )
-
-// instant is a RetryPolicy sleep that never waits (tests must not burn
-// wall-clock on backoff).
-func instant(context.Context, time.Duration) error { return nil }
 
 // recorder is a Sink capturing events for assertions.
 type recorder struct {
@@ -82,93 +77,10 @@ func newReg(names map[string][]string) *engine.Registry[int] {
 	return reg
 }
 
-func TestRunRetriesTransientFailure(t *testing.T) {
-	sched := faultinject.New(faultinject.Fault{Target: "a", Kind: faultinject.KindError, Times: 2})
-	reg := faultinject.Wrap(sched, newReg(map[string][]string{"a": nil}))
-	rec := &recorder{}
-	metrics := obs.NewMetrics()
-	res, err := engine.Run(context.Background(), reg, []string{"a"}, 0, engine.Options{
-		Retry: engine.RetryPolicy{MaxAttempts: 3, Sleep: instant},
-		Sink:  obs.Multi(rec, metrics),
-	})
-	if err != nil {
-		t.Fatalf("run failed despite retry budget: %v", err)
-	}
-	if res[0].Value != "a" {
-		t.Fatalf("value = %v", res[0].Value)
-	}
-	if got := sched.Count("a"); got != 2 {
-		t.Fatalf("injected %d faults, want 2", got)
-	}
-	if got := rec.count(obs.KindTaskRetry, "a"); got != 2 {
-		t.Fatalf("task.retry events = %d, want 2", got)
-	}
-	m := metrics.Manifest(obs.RunInfo{Tool: "test"})
-	if len(m.Tasks) != 1 || m.Tasks[0].Retries != 2 || m.Tasks[0].Status != "ok" {
-		t.Fatalf("manifest task = %+v", m.Tasks)
-	}
-	if m.Failures == nil || m.Failures.Retries != 2 || len(m.Failures.Failed) != 0 {
-		t.Fatalf("manifest failures = %+v", m.Failures)
-	}
-	if s := m.Stable(); s.Failures == nil || s.Failures.Retries != 2 {
-		t.Fatalf("Stable() dropped the retry count: %+v", s.Failures)
-	}
-}
-
-func TestRunGivesUpWhenBudgetExhausted(t *testing.T) {
-	sched := faultinject.New(faultinject.Fault{Target: "a", Times: 5})
-	reg := faultinject.Wrap(sched, newReg(map[string][]string{"a": nil}))
-	rec := &recorder{}
-	metrics := obs.NewMetrics()
-	_, err := engine.Run(context.Background(), reg, []string{"a"}, 0, engine.Options{
-		Retry: engine.RetryPolicy{MaxAttempts: 3, Sleep: instant},
-		Sink:  obs.Multi(rec, metrics),
-	})
-	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("err = %v, want injected", err)
-	}
-	if !strings.Contains(err.Error(), "a") {
-		t.Fatalf("error lost its task label: %v", err)
-	}
-	if got := sched.Count("a"); got != 3 {
-		t.Fatalf("attempts = %d, want 3", got)
-	}
-	if got := rec.count(obs.KindTaskGiveUp, "a"); got != 1 {
-		t.Fatalf("task.giveup events = %d, want 1", got)
-	}
-	if e, ok := rec.find(obs.KindTaskGiveUp, "a"); !ok || e.Attempt != 3 {
-		t.Fatalf("giveup attempt = %+v", e)
-	}
-	m := metrics.Manifest(obs.RunInfo{Tool: "test"})
-	if m.Failures == nil || m.Failures.Retries != 2 || len(m.Failures.Failed) != 1 || m.Failures.Failed[0] != "a" {
-		t.Fatalf("manifest failures = %+v", m.Failures)
-	}
-}
-
-func TestRunPermanentErrorNotRetried(t *testing.T) {
-	var calls atomic.Int64
-	reg := engine.NewRegistry[int]()
-	reg.MustRegister("a", nil, func(ctx context.Context, env int) (any, error) {
-		calls.Add(1)
-		return nil, engine.Permanent(errors.New("bad input"))
-	})
-	_, err := engine.Run(context.Background(), reg, []string{"a"}, 0, engine.Options{
-		Retry: engine.RetryPolicy{MaxAttempts: 5, Sleep: instant},
-	})
-	if err == nil || !strings.Contains(err.Error(), "bad input") {
-		t.Fatalf("err = %v", err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("permanent error retried: %d calls", calls.Load())
-	}
-}
-
 func TestRunRecoversPanicAsTypedError(t *testing.T) {
-	sched := faultinject.New(faultinject.Fault{Target: "a", Kind: faultinject.KindPanic, Times: 5})
+	sched := faultinject.New(faultinject.Fault{Target: "a", Kind: faultinject.KindPanic})
 	reg := faultinject.Wrap(sched, newReg(map[string][]string{"a": nil}))
-	_, err := engine.Run(context.Background(), reg, []string{"a"}, 0, engine.Options{
-		Retry: engine.RetryPolicy{MaxAttempts: 4, Sleep: instant},
-	})
+	_, err := engine.Run(context.Background(), reg, []string{"a"}, 0, engine.Options{})
 	var pe *engine.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %T %v, want *PanicError", err, err)
@@ -176,30 +88,33 @@ func TestRunRecoversPanicAsTypedError(t *testing.T) {
 	if pe.Task != "a" || len(pe.Stack) == 0 {
 		t.Fatalf("panic error = %+v", pe)
 	}
-	if got := sched.Count("a"); got != 1 {
-		t.Fatalf("panic was retried: %d firings", got)
-	}
 }
 
-func TestRunHangRecoversViaAttemptTimeout(t *testing.T) {
-	sched := faultinject.New(faultinject.Fault{Target: "a", Kind: faultinject.KindHang, Times: 1})
-	reg := faultinject.Wrap(sched, newReg(map[string][]string{"a": nil}))
-	res, err := engine.Run(context.Background(), reg, []string{"a"}, 0, engine.Options{
-		AttemptTimeout: 30 * time.Millisecond,
-		Retry:          engine.RetryPolicy{MaxAttempts: 2, Sleep: instant},
+// TestRunHangBecomesTimeoutFailure: a task that hangs until its
+// context ends fails with the per-task deadline, labeled with its
+// name, and its independent sibling still completes under keep-going.
+func TestRunHangBecomesTimeoutFailure(t *testing.T) {
+	sched := faultinject.New(faultinject.Fault{Target: "a", Kind: faultinject.KindHang})
+	reg := faultinject.Wrap(sched, newReg(map[string][]string{"a": nil, "b": nil}))
+	res, err := engine.Run(context.Background(), reg, []string{"a", "b"}, 0, engine.Options{
+		Jobs: 2, Timeout: 30 * time.Millisecond, KeepGoing: true,
 	})
-	if err != nil {
-		t.Fatalf("hung attempt not recovered: %v", err)
+	var deg *engine.DegradedError
+	if !errors.As(err, &deg) || strings.Join(deg.Failed, ",") != "a" {
+		t.Fatalf("err = %v, want a degraded run failing a", err)
 	}
-	if res[0].Value != "a" {
-		t.Fatalf("value = %v", res[0].Value)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("hang did not become a timeout failure: %v", err)
+	}
+	if res[1].Err != nil || res[1].Value != "b" {
+		t.Fatalf("sibling b = %+v, want its value", res[1])
 	}
 }
 
 func TestRunKeepGoingDegrades(t *testing.T) {
-	// a fails permanently; b depends on a (skipped); c is independent
+	// a fails; b depends on a (skipped); c is independent
 	// and must still complete.
-	sched := faultinject.New(faultinject.Fault{Target: "a", Times: 99})
+	sched := faultinject.New(faultinject.Fault{Target: "a"})
 	reg := faultinject.Wrap(sched, newReg(map[string][]string{"a": nil, "b": {"a"}, "c": nil}))
 	rec := &recorder{}
 	metrics := obs.NewMetrics()
@@ -324,15 +239,11 @@ func TestMapSiblingFailureKeepsItemLabel(t *testing.T) {
 	}
 }
 
-func TestMapRetriesAndKeepGoing(t *testing.T) {
-	sched := faultinject.New(
-		faultinject.Fault{Target: "item-1", Times: 1},
-		faultinject.Fault{Target: "item-2", Times: 99},
-	)
+func TestMapKeepGoing(t *testing.T) {
+	sched := faultinject.New(faultinject.Fault{Target: "item-2"})
 	out, err := engine.Map(context.Background(), items(4), engine.Options{
 		Jobs:      2,
 		KeepGoing: true,
-		Retry:     engine.RetryPolicy{MaxAttempts: 2, Sleep: instant},
 	}, func(ctx context.Context, i int) (int, error) {
 		if err := sched.Fire(ctx, fmt.Sprintf("item-%d", i)); err != nil {
 			return 0, err
@@ -346,8 +257,7 @@ func TestMapRetriesAndKeepGoing(t *testing.T) {
 	if len(deg.Failed) != 1 || deg.Failed[0] != "item-2" {
 		t.Fatalf("failed = %v", deg.Failed)
 	}
-	// item-1 recovered via retry; item-2 exhausted its budget; the rest
-	// completed despite the failure.
+	// item-2 failed; the rest completed despite the failure.
 	want := []int{0, 10, 0, 30}
 	for i, v := range want {
 		if out[i] != v {
@@ -363,9 +273,8 @@ func TestMapRetriesAndKeepGoing(t *testing.T) {
 func TestMapMatchesEdgeFreeRun(t *testing.T) {
 	labels := []string{"a", "b", "c", "d", "e"}
 	faults := []faultinject.Fault{
-		{Target: "b", Times: 1},  // recovers on its retry
-		{Target: "c", Times: 99}, // exhausts its retry budget
-		{Target: "e", Kind: faultinject.KindPanic, Times: 99},
+		{Target: "c"},
+		{Target: "e", Kind: faultinject.KindPanic},
 	}
 	tasks := map[string][]string{}
 	for _, l := range labels {
@@ -384,7 +293,7 @@ func TestMapMatchesEdgeFreeRun(t *testing.T) {
 		return run, runErr, mapped, mapErr
 	}
 
-	opts := engine.Options{Jobs: 2, KeepGoing: true, Retry: engine.RetryPolicy{MaxAttempts: 2, Sleep: instant}}
+	opts := engine.Options{Jobs: 2, KeepGoing: true}
 	run, runErr, mapped, mapErr := both(opts)
 	var runDeg, mapDeg *engine.DegradedError
 	if !errors.As(runErr, &runDeg) || !errors.As(mapErr, &mapDeg) {
@@ -412,44 +321,14 @@ func TestMapMatchesEdgeFreeRun(t *testing.T) {
 	}
 
 	// Fail-fast on one worker: the same root error, labeled the same.
-	opts = engine.Options{Jobs: 1, Retry: engine.RetryPolicy{MaxAttempts: 2, Sleep: instant}}
-	faults = faults[:2]
+	opts = engine.Options{Jobs: 1}
+	faults = faults[:1]
 	_, runErr, _, mapErr = both(opts)
 	if !errors.Is(runErr, faultinject.ErrInjected) || runErr.Error() != mapErr.Error() {
 		t.Fatalf("fail-fast errors differ: run %v, map %v", runErr, mapErr)
 	}
 	if !strings.Contains(mapErr.Error(), "engine: c:") {
 		t.Fatalf("root error lost its label: %v", mapErr)
-	}
-}
-
-func TestBackoffDeterministicAndBounded(t *testing.T) {
-	// Doubling from 500ms reaches the fixed 2s cap at attempt 3, so
-	// attempts 4-6 check the cap.
-	p := engine.RetryPolicy{BaseBackoff: 500 * time.Millisecond, Seed: 42}
-	prevCap := time.Duration(0)
-	for attempt := 1; attempt <= 6; attempt++ {
-		d1 := p.Backoff("task", attempt)
-		d2 := p.Backoff("task", attempt)
-		if d1 != d2 {
-			t.Fatalf("attempt %d: backoff not deterministic: %v vs %v", attempt, d1, d2)
-		}
-		nominal := 500 * time.Millisecond << (attempt - 1)
-		if nominal > 2*time.Second {
-			nominal = 2 * time.Second
-		}
-		if d1 < nominal/2 || d1 >= nominal {
-			t.Fatalf("attempt %d: backoff %v outside [%v, %v)", attempt, d1, nominal/2, nominal)
-		}
-		if nominal >= prevCap {
-			prevCap = nominal
-		}
-	}
-	if p.Backoff("task", 3) == p.Backoff("other", 3) {
-		t.Fatalf("different tasks share a jitter stream")
-	}
-	if (engine.RetryPolicy{Seed: 1}).Backoff("task", 1) == p.Backoff("task", 1) {
-		t.Fatalf("different seeds share a jitter stream")
 	}
 }
 

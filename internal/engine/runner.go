@@ -6,7 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"runtime"
-	"strconv"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,17 +20,9 @@ type Options struct {
 	// Jobs bounds how many tasks execute concurrently.
 	// Zero or negative means GOMAXPROCS.
 	Jobs int
-	// Timeout is the wall-clock budget of each task across all of its
-	// attempts (its dependencies have their own budgets). Zero means
-	// no limit.
+	// Timeout is the wall-clock budget of each task (its dependencies
+	// have their own budgets). Zero means no limit.
 	Timeout time.Duration
-	// AttemptTimeout bounds each individual attempt; a timed-out attempt
-	// is retryable under the Retry policy while Timeout is the hard
-	// per-task ceiling. Zero means no per-attempt limit.
-	AttemptTimeout time.Duration
-	// Retry is the per-task retry policy. The zero value runs each task
-	// exactly once.
-	Retry RetryPolicy
 	// KeepGoing keeps the run alive after a task fails: the failure is
 	// recorded, dependents are skipped, independent tasks run to
 	// completion, and the run returns the partial results alongside a
@@ -38,43 +30,20 @@ type Options struct {
 	// cancels everything in flight.
 	KeepGoing bool
 	// Sink receives structured run events (task start/finish/skip/
-	// cancel/retry, pool occupancy samples). Nil means no observation;
+	// cancel, pool occupancy samples). Nil means no observation;
 	// the sink must be safe for concurrent use.
 	Sink obs.Sink
 }
 
-// RegisterFlags binds the six engine flags onto fs (pass
-// flag.CommandLine for the global set): -jobs, -timeout, -task-timeout,
-// -retries (N more attempts, so Retry.MaxAttempts = N+1), -backoff
-// (Retry.BaseBackoff) and -keep-going. Each flag's default is o's value
-// at registration, so a command that keeps going by default sets
-// KeepGoing before registering.
+// RegisterFlags binds the three engine flags onto fs (pass
+// flag.CommandLine for the global set): -jobs, -timeout and
+// -keep-going. Each flag's default is o's value at registration, so a
+// command that keeps going by default sets KeepGoing before
+// registering.
 func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.Jobs, "jobs", o.Jobs, "worker budget: concurrent tasks and the kernel workers inside them (0 = GOMAXPROCS)")
-	fs.DurationVar(&o.Timeout, "timeout", o.Timeout, "per-task time limit across all attempts (0 = none)")
-	fs.DurationVar(&o.AttemptTimeout, "task-timeout", o.AttemptTimeout, "per-attempt time limit; a timed-out attempt is retried under -retries (0 = none)")
-	fs.Var((*retries)(&o.Retry), "retries", "retry a failing task up to `N` more times (0 = fail on first error)")
-	fs.DurationVar(&o.Retry.BaseBackoff, "backoff", o.Retry.BaseBackoff, "base delay before the first retry, doubling per retry (0 = engine default)")
+	fs.DurationVar(&o.Timeout, "timeout", o.Timeout, "per-task time limit (0 = none)")
 	fs.BoolVar(&o.KeepGoing, "keep-going", o.KeepGoing, "record a failing task and finish the others, then exit non-zero; false cancels the run at the first failure")
-}
-
-// retries is the -retries flag's view of a RetryPolicy: N further
-// attempts after the first.
-type retries RetryPolicy
-
-// String implements flag.Value.
-func (r *retries) String() string {
-	return strconv.Itoa(max(r.MaxAttempts-1, 0))
-}
-
-// Set implements flag.Value.
-func (r *retries) Set(s string) error {
-	n, err := strconv.ParseInt(s, 0, strconv.IntSize)
-	if err != nil {
-		return errors.New("parse error")
-	}
-	r.MaxAttempts = int(n) + 1
-	return nil
 }
 
 // Result is one task's outcome.
@@ -89,7 +58,7 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// task is one unit the scheduler runs: a named attempt function and
+// task is one unit the scheduler runs: a named run function and
 // the tasks that must succeed before it starts.
 type task struct {
 	deps []*task
@@ -127,7 +96,7 @@ func Run[E any](ctx context.Context, reg *Registry[E], names []string, env E, op
 // Map runs fn once per label and returns the values in label order,
 // regardless of completion order. Each label is one task of a Run
 // without dependency edges, on min(opts.Jobs, len(labels)) workers, so
-// timeouts, retries, keep-going, events and failure classification are
+// timeouts, keep-going, events and failure classification are
 // Run's: by default the first failure cancels the rest and comes back
 // labeled; with Options.KeepGoing every item is attempted and Map
 // returns the partial results (zero values for the failed items)
@@ -216,8 +185,8 @@ func (r *Registry[E]) resolve(names []string, env E) (tasks []*task, byName map[
 // dependency listed before its dependents — on at most workers
 // concurrent slots: tasks without dependencies take slots in task
 // order; a task with dependencies waits for them (and is skipped if
-// one failed) and then takes a slot. A task runs its attempts under
-// the per-task timeout, and by default cancels the run on failure.
+// one failed) and then takes a slot. A task runs once under the
+// per-task timeout, and by default cancels the run on failure.
 // schedule then classifies the failures deterministically in task
 // order: genuine root failures, skipped dependents, and cancellation
 // ripples from another task's failure. It returns nil, a
@@ -291,7 +260,7 @@ func schedule(ctx context.Context, tasks []*task, workers int, opts Options) err
 			}
 			obs.Emit(sink, obs.Event{Kind: obs.KindTaskStart, Name: name, Deps: deps})
 			start := time.Now()
-			t.res.Value, t.res.Err = runAttempts(tctx, name, opts.Retry, opts.AttemptTimeout, sink, t.run)
+			t.res.Value, t.res.Err = runOnce(tctx, name, t.run)
 			t.res.Elapsed = time.Since(start)
 			fin := obs.Event{Kind: obs.KindTaskFinish, Name: name, Elapsed: t.res.Elapsed}
 			if t.res.Err != nil {
@@ -342,42 +311,23 @@ func schedule(ctx context.Context, tasks []*task, workers int, opts Options) err
 	return firstErr
 }
 
-// runAttempts executes one task's run function under the retry policy:
-// each attempt is panic-protected and optionally bounded by
-// attemptTimeout; a retryable failure backs off deterministically and
-// tries again until the policy's budget, the classification, or the
-// surrounding context stops it. task.retry is emitted per retried
-// attempt and task.giveup once a retried task exhausts its budget.
-func runAttempts(ctx context.Context, name string, pol RetryPolicy, attemptTimeout time.Duration, sink obs.Sink, run func(context.Context) (any, error)) (any, error) {
-	pol = pol.withDefaults()
-	for attempt := 1; ; attempt++ {
-		actx := ctx
-		acancel := context.CancelFunc(func() {})
-		if attemptTimeout > 0 {
-			actx, acancel = context.WithTimeout(ctx, attemptTimeout)
+// runOnce executes one task's run function, converting a panic into
+// a *PanicError. A run function that swallowed its timeout or
+// cancellation still must not report success.
+func runOnce(ctx context.Context, name string, run func(context.Context) (any, error)) (v any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			v, err = nil, &PanicError{Task: name, Value: r, Stack: debug.Stack()}
 		}
-		v, err := protect(name, run, actx)
-		if err == nil && actx.Err() != nil {
-			// A run function that swallowed its timeout or cancellation
-			// still must not report success.
-			err = actx.Err()
-		}
-		acancel()
-		if err == nil {
-			return v, nil
-		}
-		if attempt >= pol.MaxAttempts || ctx.Err() != nil || !retryable(err) {
-			if attempt > 1 {
-				obs.Emit(sink, obs.Event{Kind: obs.KindTaskGiveUp, Name: name, Attempt: attempt, Err: err.Error()})
-			}
-			return nil, err
-		}
-		d := pol.Backoff(name, attempt)
-		obs.Emit(sink, obs.Event{Kind: obs.KindTaskRetry, Name: name, Attempt: attempt, Elapsed: d, Err: err.Error()})
-		if serr := pol.Sleep(ctx, d); serr != nil {
-			return nil, err
-		}
+	}()
+	v, err = run(ctx)
+	if err == nil {
+		err = ctx.Err()
 	}
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // labelErr wraps a root failure with its task name so the aggregate

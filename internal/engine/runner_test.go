@@ -239,9 +239,6 @@ func TestRegisterFlags(t *testing.T) {
 		{nil, Options{}},
 		{[]string{"-jobs", "3"}, Options{Jobs: 3}},
 		{[]string{"-timeout", "2s"}, Options{Timeout: 2 * time.Second}},
-		{[]string{"-task-timeout", "5ms"}, Options{AttemptTimeout: 5 * time.Millisecond}},
-		{[]string{"-retries", "2"}, Options{Retry: RetryPolicy{MaxAttempts: 3}}},
-		{[]string{"-backoff", "40ms"}, Options{Retry: RetryPolicy{BaseBackoff: 40 * time.Millisecond}}},
 		{[]string{"-keep-going"}, Options{KeepGoing: true}},
 	} {
 		var o Options
@@ -255,17 +252,14 @@ func TestRegisterFlags(t *testing.T) {
 		}
 	}
 
-	// Defaults come from the struct, so a command can keep going (or
-	// retry) by default, and the flags still override them.
-	base := Options{
-		Jobs: 4, Timeout: time.Second, AttemptTimeout: time.Millisecond,
-		Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: 7 * time.Millisecond}, KeepGoing: true,
-	}
+	// Defaults come from the struct, so a command can keep going by
+	// default, and the flags still override them.
+	base := Options{Jobs: 4, Timeout: time.Second, KeepGoing: true}
 	o := base
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	o.RegisterFlags(fs)
 	for name, want := range map[string]string{
-		"jobs": "4", "timeout": "1s", "task-timeout": "1ms", "retries": "2", "backoff": "7ms", "keep-going": "true",
+		"jobs": "4", "timeout": "1s", "keep-going": "true",
 	} {
 		if got := fs.Lookup(name).DefValue; got != want {
 			t.Fatalf("-%s default = %q, want %q", name, got, want)
@@ -274,13 +268,13 @@ func TestRegisterFlags(t *testing.T) {
 	if err := fs.Parse(nil); err != nil || !reflect.DeepEqual(o, base) {
 		t.Fatalf("no flags changed the options: %+v (%v)", o, err)
 	}
-	if err := fs.Parse([]string{"-keep-going=false", "-retries", "0"}); err != nil {
+	if err := fs.Parse([]string{"-keep-going=false", "-jobs", "1"}); err != nil {
 		t.Fatal(err)
 	}
-	if o.KeepGoing || o.Retry.MaxAttempts != 1 {
+	if o.KeepGoing || o.Jobs != 1 {
 		t.Fatalf("flags did not override the defaults: %+v", o)
 	}
-	if err := fs.Parse([]string{"-retries", "x"}); err == nil {
-		t.Fatal("non-numeric -retries accepted")
+	if err := fs.Parse([]string{"-jobs", "x"}); err == nil {
+		t.Fatal("non-numeric -jobs accepted")
 	}
 }

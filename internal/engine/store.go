@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -21,9 +23,9 @@ import (
 // how many workers they run.
 //
 // The Store itself owns only the computation semantics: single-flight
-// deduplication, eviction of failed computations so retries recompute,
-// and the obs event stream. Where completed artifacts live — and for
-// how long — belongs to the store.Backend it is built over: an
+// deduplication, eviction of failed computations so the next lookup
+// recomputes, and the obs event stream. Where completed artifacts live
+// — and for how long — belongs to the store.Backend it is built over: an
 // in-memory LRU, a memory-over-disk tier that survives restarts, or a
 // peer-aware cluster tier. Its owner keeps the backend for residency
 // and statistics; the Store has no setter or getter for it. An
@@ -56,11 +58,11 @@ func NewStore(backend store.Backend, sink obs.Sink) *Store {
 
 // Do returns the artifact under key, computing it with compute on the
 // first call. A failed computation is evicted rather than cached:
-// callers already blocked on the in-flight compute observe the error,
-// but the next Do for the key computes afresh — so a retried task can
-// recover from a transient upstream failure instead of replaying it.
-// Do artifacts report size zero, so they are exempt from the byte
-// limit; callers with large artifacts should use DoSized.
+// callers already blocked on the in-flight compute observe the error
+// (unless it is a context error, see DoSized), and the next Do for the
+// key computes afresh. Do artifacts report size zero, so they are
+// exempt from the byte limit; callers with large artifacts should use
+// DoSized.
 func (s *Store) Do(key string, compute func() (any, error)) (any, error) {
 	return s.DoSized(key, func() (any, int64, error) {
 		v, err := compute()
@@ -72,6 +74,13 @@ func (s *Store) Do(key string, compute func() (any, error)) (any, error) {
 // reports the artifact's resident size in bytes, which counts against
 // the backend's byte cap. Touching a cached entry (hit or wait) marks it
 // most recently used.
+//
+// A caller that waited on another caller's flight shares its value or
+// error, except a context error: a cancellation or deadline belongs to
+// the caller whose compute saw it, so the waiter looks the key up
+// again and, on a miss, computes under its own compute function. A
+// compute that watches its caller's context then fails fast if the
+// waiter's own context is dead too.
 func (s *Store) DoSized(key string, compute func() (any, int64, error)) (any, error) {
 	// Backend Get/Put happen outside s.mu: a backend may do real I/O
 	// (disk reads, or peer HTTP round-trips in cluster mode), and
@@ -88,6 +97,9 @@ func (s *Store) DoSized(key string, compute func() (any, int64, error)) (any, er
 			start := time.Now()
 			<-g.done
 			obs.Emit(s.sink, obs.Event{Kind: obs.KindStoreWait, Name: key, Elapsed: time.Since(start)})
+			if errors.Is(g.err, context.Canceled) || errors.Is(g.err, context.DeadlineExceeded) {
+				continue
+			}
 			return g.val, g.err
 		}
 		s.mu.Unlock()
@@ -116,7 +128,7 @@ func (s *Store) DoSized(key string, compute func() (any, int64, error)) (any, er
 		// Hand the artifact to the backend before waking waiters, so a
 		// lookup sequenced after this Do observes it resident. A failed
 		// compute is simply dropped: the error stays visible to everyone
-		// already blocked on f.done, while later lookups retry.
+		// already blocked on f.done, while later lookups recompute.
 		evicted = s.backend.Put(key, f.val, size)
 	}
 	s.mu.Lock()

@@ -54,9 +54,8 @@ func TestStoreComputesOnce(t *testing.T) {
 }
 
 func TestStoreEvictsErrors(t *testing.T) {
-	// A failed compute must not poison the key: the next lookup retries
-	// (this is what lets a retried task recover from a transient
-	// upstream failure), and a success is then cached normally.
+	// A failed compute must not poison the key: the next lookup
+	// recomputes, and a success is then cached normally.
 	s, _ := memStore(0, nil)
 	sentinel := errors.New("boom")
 	calls := 0
@@ -66,7 +65,7 @@ func TestStoreEvictsErrors(t *testing.T) {
 	}
 	v, err := Memo(s, "k", func() (int, error) { calls++; return 7, nil })
 	if err != nil || v != 7 {
-		t.Fatalf("retry after error: v=%d err=%v", v, err)
+		t.Fatalf("lookup after error: v=%d err=%v", v, err)
 	}
 	v, err = Memo(s, "k", func() (int, error) { calls++; return 0, sentinel })
 	if err != nil || v != 7 {
@@ -218,37 +217,71 @@ func TestStoreEvictionUnderConcurrency(t *testing.T) {
 	}
 }
 
-func TestEngineDoRetriesAndRecoversPanic(t *testing.T) {
-	attempts := 0
-	pol := RetryPolicy{MaxAttempts: 3, Sleep: func(context.Context, time.Duration) error { return nil }}
-	v, err := Do(context.Background(), "flaky", pol, 0, nil, func(ctx context.Context) (any, error) {
-		attempts++
-		if attempts < 3 {
-			return nil, fmt.Errorf("transient %d", attempts)
+// waitOnFailedFlight has a second caller wait on a flight of "k" that
+// fails with leaderErr, and returns the store and what the waiter got.
+// The waiter's own compute returns "own". A run in which the waiter
+// arrived after the flight ended proves nothing, so it is repeated
+// until the waiter blocked on the flight.
+func waitOnFailedFlight(t *testing.T, leaderErr error) (*Store, any, error) {
+	t.Helper()
+	for try := 0; try < 10; try++ {
+		events := &countEvents{}
+		s, _ := memStore(0, events)
+		started, release := make(chan struct{}), make(chan struct{})
+		leader := make(chan error, 1)
+		go func() {
+			_, err := s.Do("k", func() (any, error) {
+				close(started)
+				<-release
+				return nil, leaderErr
+			})
+			leader <- err
+		}()
+		<-started
+		var v any
+		var err error
+		waiter := make(chan struct{})
+		go func() {
+			defer close(waiter)
+			v, err = s.Do("k", func() (any, error) { return "own", nil })
+		}()
+		time.Sleep(20 * time.Millisecond) // let the waiter block on the flight
+		close(release)
+		if got := <-leader; got != leaderErr {
+			t.Fatalf("leader err = %v, want %v", got, leaderErr)
 		}
-		return "ok", nil
-	})
-	if err != nil || v != "ok" || attempts != 3 {
-		t.Fatalf("v=%v err=%v attempts=%d", v, err, attempts)
+		<-waiter
+		if events.count(obs.KindStoreWait) > 0 {
+			return s, v, err
+		}
 	}
+	t.Fatal("the waiter never blocked on the leader's flight")
+	return nil, nil, nil
+}
 
-	_, err = Do(context.Background(), "boom", pol, 0, nil, func(ctx context.Context) (any, error) {
-		panic("kaboom")
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Task != "boom" {
-		t.Fatalf("err = %v, want *PanicError for task boom", err)
+// TestStoreWaiterDoesNotInheritContextError: a caller that waited on
+// another caller's flight does not answer with that caller's
+// cancellation or deadline. It computes under its own compute instead,
+// and a later lookup hits the value it stored.
+func TestStoreWaiterDoesNotInheritContextError(t *testing.T) {
+	for _, cause := range []error{context.Canceled, context.DeadlineExceeded} {
+		s, v, err := waitOnFailedFlight(t, fmt.Errorf("leader's client went away: %w", cause))
+		if err != nil || v != "own" {
+			t.Fatalf("%v: waiter = %v, %v; want its own value", cause, v, err)
+		}
+		v, err = s.Do("k", func() (any, error) { return nil, errors.New("recomputed") })
+		if err != nil || v != "own" {
+			t.Fatalf("%v: later lookup = %v, %v; want a hit on the waiter's value", cause, v, err)
+		}
 	}
 }
 
-func TestEngineDoAttemptTimeout(t *testing.T) {
-	pol := RetryPolicy{MaxAttempts: 1}
-	_, err := Do(context.Background(), "slow", pol, 10*time.Millisecond, nil, func(ctx context.Context) (any, error) {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
+// TestStoreWaiterSharesOtherErrors: any other error reaches the caller
+// that waited on the flight, which does not compute.
+func TestStoreWaiterSharesOtherErrors(t *testing.T) {
+	boom := errors.New("boom")
+	if _, v, err := waitOnFailedFlight(t, boom); err != boom || v != nil {
+		t.Fatalf("waiter = %v, %v; want the flight's %v", v, err, boom)
 	}
 }
 

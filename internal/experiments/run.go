@@ -12,7 +12,6 @@ import (
 	"coplot/internal/engine"
 	"coplot/internal/faultinject"
 	"coplot/internal/par"
-	"coplot/internal/rng"
 )
 
 // Output is one experiment's rendered artifacts.
@@ -165,9 +164,8 @@ func Deps(name string) ([]string, error) { return registry.Deps(name) }
 // (cmd/experiments binds them with engine.Options.RegisterFlags) plus
 // the suite's fault injection. Jobs also sizes the shared kernel
 // worker budget (Config.Par) the SSA multi-starts and Hurst estimator
-// fan-outs draw from; any value produces byte-identical outputs. Retry
-// backoff jitter is derived from the run seed unless Retry.Seed is
-// set. Observability (Sink) never alters the outputs.
+// fan-outs draw from; any value produces byte-identical outputs.
+// Observability (Sink) never alters the outputs.
 type RunOptions struct {
 	engine.Options
 	// Inject is an optional fault-injection schedule spliced around the
@@ -235,11 +233,7 @@ func runNames(ctx context.Context, names []string, cfg Config, opts RunOptions) 
 	if opts.Inject.Enabled() {
 		reg = faultinject.Wrap(opts.Inject, registry)
 	}
-	eopts := opts.Options
-	if eopts.Retry.Seed == 0 {
-		eopts.Retry.Seed = rng.Derive(cfg.WithDefaults().Seed, "engine:backoff")
-	}
-	results, err := engine.Run(ctx, reg, names, env, eopts)
+	results, err := engine.Run(ctx, reg, names, env, opts.Options)
 	var deg *engine.DegradedError
 	if err != nil && !errors.As(err, &deg) {
 		return nil, err

@@ -1,24 +1,20 @@
 // Package faultinject is a deterministic fault-injection harness for
 // the experiment engine: a Schedule maps target names (registered
-// experiments) to faults — error-N-times, hang-until-cancelled, panic,
-// or seeded probabilistic errors — and Wrap splices the schedule around
-// the registered task functions. Because every fault fires on a fixed
-// invocation count (or a seeded per-invocation coin flip), a test run
-// with a given schedule exercises exactly the same failure sequence
-// every time, so retry, give-up and degradation paths are testable
-// byte-for-byte.
+// experiments) to faults — error, hang-until-cancelled, or panic — and
+// Wrap splices the schedule around the registered task functions.
+// Each experiment runs once per run, so a scheduled fault fires on
+// every invocation of its target, and a test run with a given schedule
+// exercises exactly the same failures every time: the panic, timeout
+// and degradation paths are testable byte-for-byte.
 package faultinject
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
-	"sync"
 
 	"coplot/internal/engine"
-	"coplot/internal/rng"
 )
 
 // ErrInjected is the sentinel every injected error wraps; tests and
@@ -47,54 +43,32 @@ type Fault struct {
 	Target string
 	// Kind selects the behavior (KindError when empty).
 	Kind Kind
-	// Times is how many invocations of Target the fault affects before
-	// it burns out and the target behaves normally (<=0 means 1).
-	// Ignored when Rate is set.
-	Times int
-	// Rate, when positive, makes the fault probabilistic instead of
-	// counted: each invocation fails independently with probability
-	// Rate, decided by a deterministic coin derived from (Seed, Target,
-	// invocation number) — the same schedule always injects the same
-	// invocations.
-	Rate float64
-	// Seed drives the Rate coin flips.
-	Seed uint64
 }
 
-// Schedule is a thread-safe set of scheduled faults with per-target
-// invocation counters. The zero value (and a nil *Schedule) injects
-// nothing.
+// Schedule is a set of scheduled faults, fixed at construction and
+// safe for concurrent use. The zero value (and a nil *Schedule)
+// injects nothing.
 type Schedule struct {
-	mu     sync.Mutex
-	faults map[string]*faultState
-}
-
-type faultState struct {
-	fault Fault
-	calls int // invocations of the target seen so far
-	fired int // invocations that were injected
+	faults map[string]Kind
 }
 
 // New builds a schedule from the given faults. Later faults for the
 // same target replace earlier ones.
 func New(faults ...Fault) *Schedule {
-	s := &Schedule{faults: map[string]*faultState{}}
+	s := &Schedule{faults: map[string]Kind{}}
 	for _, f := range faults {
 		if f.Kind == "" {
 			f.Kind = KindError
 		}
-		if f.Times <= 0 {
-			f.Times = 1
-		}
-		s.faults[f.Target] = &faultState{fault: f}
+		s.faults[f.Target] = f.Kind
 	}
 	return s
 }
 
 // Parse builds a schedule from a CLI spec: a comma-separated list of
-// `target=kind[:times]` entries, e.g. "fig1=error:2,table3=panic".
-// Kind defaults to error and times to 1, so "fig1" alone schedules one
-// injected error on fig1.
+// `target=error|panic|hang` entries, e.g. "fig1=error,table3=panic".
+// A target alone schedules an error, so "fig1" injects an error on
+// fig1.
 func Parse(spec string) (*Schedule, error) {
 	var faults []Fault
 	for _, entry := range strings.Split(spec, ",") {
@@ -102,26 +76,17 @@ func Parse(spec string) (*Schedule, error) {
 		if entry == "" {
 			continue
 		}
-		f := Fault{Kind: KindError, Times: 1}
-		target, rest, hasKind := strings.Cut(entry, "=")
-		f.Target = strings.TrimSpace(target)
+		target, kind, hasKind := strings.Cut(entry, "=")
+		f := Fault{Target: strings.TrimSpace(target), Kind: KindError}
 		if f.Target == "" {
 			return nil, fmt.Errorf("faultinject: empty target in %q", entry)
 		}
 		if hasKind {
-			kind, times, hasTimes := strings.Cut(rest, ":")
 			switch Kind(kind) {
 			case KindError, KindPanic, KindHang:
 				f.Kind = Kind(kind)
 			default:
 				return nil, fmt.Errorf("faultinject: unknown fault kind %q in %q (want error, panic, or hang)", kind, entry)
-			}
-			if hasTimes {
-				n, err := strconv.Atoi(times)
-				if err != nil || n < 1 {
-					return nil, fmt.Errorf("faultinject: bad fault count %q in %q", times, entry)
-				}
-				f.Times = n
 			}
 		}
 		faults = append(faults, f)
@@ -131,66 +96,29 @@ func Parse(spec string) (*Schedule, error) {
 
 // Enabled reports whether the schedule holds any faults.
 func (s *Schedule) Enabled() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.faults) > 0
+	return s != nil && len(s.faults) > 0
 }
 
-// Count reports how many faults have fired on target so far.
-func (s *Schedule) Count(target string) int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st, ok := s.faults[target]; ok {
-		return st.fired
-	}
-	return 0
-}
-
-// Fire records one invocation of target and applies its scheduled
-// fault, if any remains: KindError returns an injected error, KindHang
-// blocks until ctx is cancelled and returns the context error, and
-// KindPanic panics. A nil schedule, an unscheduled target, or a
-// burned-out fault return nil immediately.
+// Fire applies target's scheduled fault, if any: KindError returns an
+// injected error, KindHang blocks until ctx is cancelled and returns
+// the context error, and KindPanic panics. A nil schedule or an
+// unscheduled target return nil immediately.
 func (s *Schedule) Fire(ctx context.Context, target string) error {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	st, ok := s.faults[target]
+	kind, ok := s.faults[target]
 	if !ok {
-		s.mu.Unlock()
-		return nil
-	}
-	st.calls++
-	inject := false
-	if st.fault.Rate > 0 {
-		coin := rng.New(rng.Derive(st.fault.Seed, fmt.Sprintf("fault:%s#%d", target, st.calls))).Float64()
-		inject = coin < st.fault.Rate
-	} else {
-		inject = st.fired < st.fault.Times
-	}
-	if inject {
-		st.fired++
-	}
-	kind, n := st.fault.Kind, st.fired
-	s.mu.Unlock()
-	if !inject {
 		return nil
 	}
 	switch kind {
 	case KindPanic:
-		panic(fmt.Sprintf("faultinject: injected panic #%d in %s", n, target))
+		panic(fmt.Sprintf("faultinject: injected panic in %s", target))
 	case KindHang:
 		<-ctx.Done()
 		return fmt.Errorf("faultinject: hang in %s: %w", target, ctx.Err())
 	default:
-		return fmt.Errorf("faultinject: error #%d in %s: %w", n, target, ErrInjected)
+		return fmt.Errorf("faultinject: error in %s: %w", target, ErrInjected)
 	}
 }
 

@@ -106,18 +106,14 @@ type TaskRecord struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// Err is the failure message for non-ok statuses.
 	Err string `json:"error,omitempty"`
-	// Retries counts the failed attempts that were retried before the
-	// final outcome. Deterministic for a given fault schedule (the
-	// backoff delays are timing; the count is not).
-	Retries int `json:"retries,omitempty"`
 	// Reason classifies a skipped task (obs.SkipReasonUpstreamFailed).
 	Reason string `json:"reason,omitempty"`
 }
 
 // FailureSummary condenses what went wrong in a run: which tasks
-// failed, which dependents were skipped because of them, and how much
-// retrying happened. All fields are deterministic for a given fault
-// schedule, so Stable() keeps the summary intact.
+// failed and which dependents were skipped because of them. All fields
+// are deterministic for a given fault schedule, so Stable() keeps the
+// summary intact.
 type FailureSummary struct {
 	// Degraded reports a keep-going run that completed with failures.
 	Degraded bool `json:"degraded,omitempty"`
@@ -126,8 +122,6 @@ type FailureSummary struct {
 	// Skipped lists the dependents abandoned because an upstream task
 	// failed, sorted.
 	Skipped []string `json:"skipped,omitempty"`
-	// Retries is the total retried attempts across all tasks.
-	Retries int `json:"retries,omitempty"`
 }
 
 // StoreStats aggregates artifact-store traffic. Lookups, Misses and
@@ -165,10 +159,8 @@ type PoolStats struct {
 // Started, ElapsedMS, per-task ElapsedMS, Store.Waits, Pool.MaxInUse,
 // Pool.Samples and the per-tier Storage counters. Golden comparisons and the determinism tests
 // compare Stable() forms; everything that remains is a pure function of
-// the run configuration. Retry counts, skip reasons and the failure
-// summary survive: for a given fault schedule they are deterministic
-// (only the backoff *delays* are wall-clock accidents, and those are
-// never recorded in the manifest).
+// the run configuration. Skip reasons and the failure summary survive:
+// for a given fault schedule they are deterministic.
 func (m *Manifest) Stable() *Manifest {
 	c := *m
 	c.Started = time.Time{}
@@ -291,8 +283,6 @@ func (m *Metrics) Event(e Event) {
 	case KindTaskCancel:
 		t := m.task(e.Name)
 		t.Status, t.Err = "cancelled", e.Err
-	case KindTaskRetry:
-		m.task(e.Name).Retries++
 	case KindRunDegraded:
 		m.degraded = true
 	case KindStoreHit:
@@ -368,9 +358,8 @@ func (m *Metrics) Manifest(info RunInfo) *Manifest {
 		case "skipped":
 			sum.Skipped = append(sum.Skipped, t.Name)
 		}
-		sum.Retries += t.Retries
 	}
-	if sum.Degraded || len(sum.Failed) > 0 || len(sum.Skipped) > 0 || sum.Retries > 0 {
+	if sum.Degraded || len(sum.Failed) > 0 || len(sum.Skipped) > 0 {
 		mf.Failures = &sum
 	}
 	return mf

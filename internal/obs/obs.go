@@ -1,12 +1,12 @@
 // Package obs is the observability layer of the experiment engine: a
 // structured event model describing what a run did (experiment
-// start/finish/skip/cancel, retry/giveup and degraded-run outcomes,
+// start/finish/skip/cancel and degraded-run outcomes,
 // artifact-store hit/miss/wait, worker-pool occupancy), a pluggable
 // Sink interface the engine emits those events to, and two concrete
 // sinks — a JSON-lines trace writer for offline inspection and an
 // aggregating metrics sink that condenses a run into a Manifest
-// (per-task wall time, dependency edges, retry counts, cache hit
-// ratio, run settings, failure summary).
+// (per-task wall time, dependency edges, cache hit ratio, run
+// settings, failure summary).
 //
 // The engine emits events from many goroutines concurrently, so every
 // Sink implementation must be safe for concurrent use. Events carry
@@ -40,14 +40,6 @@ const (
 	// KindTaskCancel marks a task abandoned by run cancellation or
 	// timeout before it started executing.
 	KindTaskCancel Kind = "task.cancel"
-	// KindTaskRetry marks a failed attempt that will be retried: Attempt
-	// is the attempt that just failed (1-based), Err its failure, and
-	// Elapsed the backoff delay before the next attempt.
-	KindTaskRetry Kind = "task.retry"
-	// KindTaskGiveUp marks a task whose retry budget is exhausted:
-	// Attempt holds the total attempts made and Err the final failure.
-	// A task.finish with the same error follows.
-	KindTaskGiveUp Kind = "task.giveup"
 	// KindRunDegraded marks a keep-going run that completed with
 	// failures: Failed counts the failed tasks, Skipped their abandoned
 	// dependents, and Err summarizes the failure set.
@@ -98,9 +90,6 @@ type Event struct {
 	InUse int `json:"in_use,omitempty"`
 	// Capacity is the pool size of a pool.sample or run.start.
 	Capacity int `json:"capacity,omitempty"`
-	// Attempt is the 1-based attempt number of a task.retry (the attempt
-	// that failed) or task.giveup (the total attempts made).
-	Attempt int `json:"attempt,omitempty"`
 	// Reason classifies a task.skip (SkipReasonUpstreamFailed).
 	Reason string `json:"reason,omitempty"`
 	// Failed counts the failed tasks of a run.degraded.

@@ -87,15 +87,15 @@ func (e *statusError) Error() string { return e.err.Error() }
 func (e *statusError) Unwrap() error { return e.err }
 
 // badRequest marks err as a deterministic input failure: answered 400
-// with code bad_request, never retried.
+// with code bad_request.
 func badRequest(err error) error {
-	return engine.Permanent(&statusError{code: http.StatusBadRequest, api: CodeBadRequest, err: err})
+	return &statusError{code: http.StatusBadRequest, api: CodeBadRequest, err: err}
 }
 
 // degenerate marks err as analyzable-but-degenerate input: answered
-// 400 with code degenerate_input, never retried.
+// 400 with code degenerate_input.
 func degenerate(err error) error {
-	return engine.Permanent(&statusError{code: http.StatusBadRequest, api: CodeDegenerateInput, err: err})
+	return &statusError{code: http.StatusBadRequest, api: CodeDegenerateInput, err: err}
 }
 
 // notFound builds a 404 envelope error.

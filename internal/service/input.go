@@ -11,7 +11,7 @@
 //     options, seed), backed by the engine's single-flight memoizing
 //     store with an LRU byte cap, one shared par.Budget across
 //     in-flight requests, semaphore backpressure (429 + Retry-After),
-//     per-request deadlines on the engine's retry machinery, and
+//     per-request deadlines, and
 //     graceful drain on shutdown.
 package service
 

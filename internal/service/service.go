@@ -22,11 +22,6 @@ import (
 // maxBodyBytes caps a request body and an exchanged artifact.
 const maxBodyBytes = 64 << 20
 
-// retrySeed drives the retry-backoff jitter. Analysis seeds come from
-// each request (the "seed" query parameter), never from here, so
-// responses do not depend on server configuration.
-const retrySeed = 7
-
 // Config tunes a Service; the zero value serves with defaults.
 type Config struct {
 	// Jobs sizes the one par.Budget every in-flight request draws its
@@ -47,19 +42,9 @@ type Config struct {
 	// content-addressed files there and survive restarts. Empty means
 	// memory only.
 	CacheDir string
-	// RequestTimeout bounds one request across all attempts (0 = none);
-	// an expired request is answered 504.
+	// RequestTimeout bounds one request (0 = none); an expired request
+	// is answered 504.
 	RequestTimeout time.Duration
-	// AttemptTimeout bounds each attempt; a timed-out attempt is
-	// retried under Retries (0 = none).
-	AttemptTimeout time.Duration
-	// Retries re-attempts a transiently failing request up to N more
-	// times with the engine's deterministic backoff (0 = fail on first
-	// error). Bad-input failures are permanent and never retried.
-	Retries int
-	// Backoff is the base delay before the first retry (0 = engine
-	// default).
-	Backoff time.Duration
 	// Peers is the full cluster member list (base URLs, including
 	// Self). When set, the cache backend is wrapped in the peer-aware
 	// cluster tier — misses try a peer fill from the key's owner
@@ -348,13 +333,13 @@ func protected(key string, compute func() (any, int64, error)) func() (any, int6
 
 // handlerFunc parses one endpoint's request into its cache key and a
 // compute closure. Parse-stage errors (bad options, malformed
-// multipart) answer immediately; compute-stage errors flow through the
-// engine's retry/permanent classification.
+// multipart) answer immediately; compute-stage errors come back from
+// the store and are enveloped by their status.
 type handlerFunc func(r *http.Request, body []byte) (key string, run func(ctx context.Context) (*response, error), err error)
 
 // endpoint wraps h with the service machinery: semaphore backpressure,
-// the per-request deadline, the content-hash cache, the engine's
-// attempt loop (retries, panic recovery), and the obs event stream.
+// the per-request deadline, the content-hash cache, panic containment
+// and the obs event stream.
 func (s *Service) endpoint(name string, h handlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
@@ -386,34 +371,38 @@ func (s *Service) endpoint(name string, h handlerFunc) http.Handler {
 			return
 		}
 
-		// The store is the cache and the single-flight gate; the engine
-		// attempt loop around it supplies deadlines, deterministic retry
-		// backoff and panic containment. A panic is converted to a
-		// *engine.PanicError before the store sees it, so the errored
-		// entry is evicted and waiters wake instead of blocking forever.
-		// The task events and retries are named by endpoint, so the
-		// metrics keep one task record per route however many distinct
-		// keys are served; the key itself rides on the store events
-		// and the X-Coplot-Key header.
+		// The store is the cache and the single-flight gate. A panic is
+		// converted to a *engine.PanicError before the store sees it, so
+		// the errored entry is evicted and waiters wake instead of
+		// blocking forever. A request that waited on another request's
+		// flight which died of that request's context computes under
+		// this closure, which fails fast if its own context is dead too.
+		// The task events are named by endpoint, so the metrics keep one
+		// task record per route however many distinct keys are served;
+		// the key itself rides on the store events and the X-Coplot-Key
+		// header.
 		computed := false
-		pol := engine.RetryPolicy{MaxAttempts: s.cfg.Retries + 1, BaseBackoff: s.cfg.Backoff, Seed: retrySeed}
 		start := time.Now()
 		obs.Emit(s.sink, obs.Event{Kind: obs.KindTaskStart, Name: name})
-		v, err := engine.Do(ctx, name, pol, s.cfg.AttemptTimeout, s.sink, func(ctx context.Context) (any, error) {
-			return s.store.DoSized(key, protected(key, func() (any, int64, error) {
-				computed = true
-				if s.testHook != nil {
-					if err := s.testHook(ctx, name); err != nil {
-						return nil, 0, err
-					}
-				}
-				resp, err := run(ctx)
-				if err != nil {
+		v, err := s.store.DoSized(key, protected(key, func() (any, int64, error) {
+			computed = true
+			if err := ctx.Err(); err != nil {
+				return nil, 0, err
+			}
+			if s.testHook != nil {
+				if err := s.testHook(ctx, name); err != nil {
 					return nil, 0, err
 				}
-				return resp, resp.size(), nil
-			}))
-		})
+			}
+			resp, err := run(ctx)
+			if err != nil {
+				return nil, 0, err
+			}
+			return resp, resp.size(), nil
+		}))
+		if err == nil {
+			err = ctx.Err() // a request past its deadline answers 504 even if its compute ignored it
+		}
 		done := obs.Event{Kind: obs.KindTaskFinish, Name: name, Elapsed: time.Since(start)}
 		if err != nil {
 			done.Err = err.Error()

@@ -413,6 +413,85 @@ func TestRequestDeadlineReturns504(t *testing.T) {
 	}
 }
 
+// TestWaiterOutlivesCancelledLeader: two identical requests overlap,
+// and the one computing the response (the leader) loses its client
+// while the other waits on its flight. The survivor is answered 200
+// with the bytes of a solo request, not the leader's cancellation.
+// The pair is repeated until the survivor has waited on the flight.
+func TestWaiterOutlivesCancelledLeader(t *testing.T) {
+	const path = "/v1/generate?model=lublin&n=300&seed=3"
+	ref := httptest.NewServer(mustNew(t, Config{Jobs: 1, CorpusJobs: -1}))
+	defer ref.Close()
+	solo, want := post(t, ref, path, nil)
+	if solo.StatusCode != http.StatusOK {
+		t.Fatalf("solo request: status %d: %s", solo.StatusCode, want)
+	}
+	waits := &waitCounter{key: solo.Header.Get("X-Coplot-Key")}
+
+	for attempt := 0; attempt < 10 && waits.count() == 0; attempt++ {
+		svc := mustNew(t, Config{Jobs: 1, MaxInflight: 4, CorpusJobs: -1, Sink: waits})
+		entered := make(chan struct{})
+		var calls atomic.Int64
+		svc.testHook = func(ctx context.Context, endpoint string) error {
+			if calls.Add(1) == 1 {
+				close(entered)
+				<-ctx.Done() // the leader computes until its client leaves
+				return ctx.Err()
+			}
+			return nil
+		}
+		ts := httptest.NewServer(svc)
+
+		ctx, cancel := context.WithCancel(context.Background())
+		leader := make(chan struct{})
+		go func() {
+			defer close(leader)
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+path, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}()
+		<-entered
+		var code int
+		var body []byte
+		var err error
+		survivor := make(chan struct{})
+		go func() {
+			defer close(survivor)
+			var resp *http.Response
+			if resp, err = http.Post(ts.URL+path, "text/plain", nil); err == nil {
+				code = resp.StatusCode
+				body, err = io.ReadAll(resp.Body)
+				resp.Body.Close()
+			}
+		}()
+		time.Sleep(50 * time.Millisecond) // let the survivor block on the flight
+		cancel()
+		<-leader
+		<-survivor
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if waits.count() == 0 {
+			continue // the survivor arrived after the flight ended
+		}
+		if code != http.StatusOK {
+			t.Fatalf("survivor: status %d (%s), want 200", code, body)
+		}
+		if !bytes.Equal(body, want) {
+			t.Fatal("survivor's body differs from a solo request's")
+		}
+	}
+	if waits.count() == 0 {
+		t.Fatal("the survivor never waited on the leader's flight in 10 pairs")
+	}
+}
+
 func TestBadInputsReturn400(t *testing.T) {
 	svc := mustNew(t, Config{Jobs: 1})
 	ts := httptest.NewServer(svc)
@@ -550,7 +629,7 @@ func sortedKeys(obj map[string]json.RawMessage) string {
 
 // TestManifestSeedIsZero pins coplotd's manifest seed to 0, the value
 // for a tool without a master seed: analyses take their seed per
-// request, and the retry-jitter seed is no setting of the run.
+// request.
 func TestManifestSeedIsZero(t *testing.T) {
 	svc := mustNew(t, Config{Jobs: 1, CorpusJobs: -1})
 	ts := httptest.NewServer(svc)

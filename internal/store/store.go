@@ -10,7 +10,8 @@
 //
 //   - engine.Store owns the *computation* semantics — single-flight
 //     deduplication (each key computes exactly once while concurrent
-//     callers wait), eviction of errored entries so retries recompute,
+//     callers wait), eviction of errored entries so the next lookup
+//     recomputes,
 //     and the obs event stream.
 //   - a store.Backend owns the *residency* semantics — which completed
 //     artifacts stay, for how long, and where: process memory bounded
